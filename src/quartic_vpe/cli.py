@@ -222,8 +222,6 @@ def _dispatch(args) -> list:
                          log_spacing=args.log)
     if args.command == "oracle-check":
         params, rescaled, lam = _resolve_point(args)
-        if args.tol is not None and args.tol <= 0.0:
-            raise ValidationError(f"tolerance must be positive, got {args.tol}")
         return run_oracle_check(params, rescaled, lam=lam,
                                 max_order=args.order, tol=args.tol)
     raise ValidationError(f"unknown command {args.command!r}")

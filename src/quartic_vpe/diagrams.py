@@ -9,10 +9,17 @@ the result is an independent check on the closed forms in ``series``.
 The integration strategy: one time is eliminated by translation
 invariance on the circle; the remaining ``n - 1`` times are ordered,
 which splits the domain into simplices where every propagator argument
-is a plain difference (no kinks inside a panel); each simplex is mapped
-to the unit cube by stick-breaking and integrated with panel-based
-Gauss-Legendre rules, refined by panel halving until the value is
-stable.  At low temperature the propagator localizes the integrand near
+is a plain difference (no kinks inside a panel).  Orderings with the
+same integrand -- an ordering and its mirror under tau -> beta - tau,
+or orderings with identical edge lists -- are integrated once and
+weighted by their multiplicity.  Each simplex is mapped to the unit
+cube by stick-breaking and integrated with a panel-based Gauss-Legendre
+rule.  An embedded rule with half as many nodes on the same panels
+estimates the error, as the Gauss-Kronrod pairs of QUADPACK do
+(Piessens et al., 1983), though the nodes here are not nested.  The
+panels are halved only while the two rules disagree by more than the
+tolerance, and the reported bound is their difference at the last
+level.  At low temperature the propagator localizes the integrand near
 the corners, so the panels are graded geometrically toward both ends of
 every axis.
 """
@@ -21,11 +28,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, Propagator
 from .errors import ConvergenceError, ValidationError
 
 __all__ = [
@@ -201,14 +208,26 @@ def _nodes_and_weights(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndar
     return nodes, weights
 
 
+Ordering = tuple[tuple[tuple[int, int], int], ...]
+
+
 def _slot_orderings(
     diagram: DiagramSpec, mode: str
-) -> tuple[list[list[tuple[tuple[int, int], int]]], set[tuple[int, int]]]:
-    """Edge lists rewritten in terms of ordered slots, per time ordering.
+) -> tuple[list[tuple[int, Ordering]], set[tuple[int, int]]]:
+    """Time orderings with equal integrands, as (multiplicity, edge list).
 
-    Slot 0 is the anchor at time zero: in reduced mode the anchor is the
-    vertex eliminated by translation invariance; in full mode it is the
-    earliest of the n integrated times.
+    Each edge list is written in terms of ordered slots.  Slot 0 is the
+    anchor at time zero: in reduced mode the anchor is the vertex
+    eliminated by translation invariance; in full mode it is the earliest
+    of the n integrated times.
+
+    Orderings whose edge multisets coincide have the same integrand.  In
+    reduced mode the reflection tau -> beta - tau maps slot k to slot
+    (n - k) mod n; it maps the simplex onto itself with unit Jacobian and
+    G(s) = G(beta - s), so an ordering and its mirror integrate to the
+    same value and share a class keyed by the smaller of the two edge
+    multisets.  Full mode stays the unpaired cross-check of this: only
+    identical edge lists merge there.
     """
     n = diagram.order
     if mode == "reduced":
@@ -219,50 +238,44 @@ def _slot_orderings(
         perms = itertools.permutations(range(n))
         anchored = {}
         first_free_slot = 0
-    orderings = []
-    needed: set[tuple[int, int]] = set()
+
+    def edge_list(slot_of: dict[int, int]) -> Ordering:
+        return tuple(sorted(
+            (tuple(sorted((slot_of[i], slot_of[j]))), power)
+            for i, j, power in diagram.edges
+        ))
+
+    multiplicity: dict[Ordering, int] = {}
     for perm in perms:
         slot_of = dict(anchored)
         for k, vertex in enumerate(perm):
             slot_of[vertex] = first_free_slot + k
-        edge_slots = []
-        for i, j, power in diagram.edges:
-            a, b = sorted((slot_of[i], slot_of[j]))
-            edge_slots.append(((a, b), power))
-            needed.add((a, b))
-        orderings.append(edge_slots)
-    return orderings, needed
-
-
-def _propagator_grid(s: np.ndarray, params: ModelParams, omega_big: float) -> np.ndarray:
-    beta, m = params.beta, params.m
-    x = beta * omega_big
-    denom = 2.0 * m * omega_big * (-math.expm1(-x))
-    s = np.clip(s, 0.0, beta)
-    return (np.exp(-omega_big * s) + np.exp(-omega_big * (beta - s))) / denom
+        key = edge_list(slot_of)
+        if mode == "reduced":
+            key = min(key, edge_list({v: (n - k) % n for v, k in slot_of.items()}))
+        multiplicity[key] = multiplicity.get(key, 0) + 1
+    needed = {pair for key in multiplicity for pair, _ in key}
+    return [(count, key) for key, count in multiplicity.items()], needed
 
 
 def _integrate_level(
-    params: ModelParams,
-    omega_big: float,
-    diagrams: list[DiagramSpec],
-    qspec: QuadratureSpec,
-    level: int,
+    propagator: Propagator,
+    per_diagram: list[tuple[list[tuple[int, Ordering]], set[tuple[int, int]]]],
+    dim: int,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    chunk_nodes: int,
     mode: str,
 ) -> np.ndarray:
-    """Raw simplex integrals for same-order diagrams on a shared grid."""
-    beta = params.beta
-    dim = diagrams[0].order - 1
-    edges = _panel_edges(beta * omega_big, qspec, level)
-    nodes, weights = _nodes_and_weights(edges, qspec.nodes_per_panel)
+    """Raw simplex integrals for same-order diagrams on one product grid."""
+    beta = propagator.beta
     n_nodes = nodes.size
-    per_diagram = [_slot_orderings(d, mode) for d in diagrams]
     needed_pairs: set[tuple[int, int]] = set()
     for _, needed in per_diagram:
         needed_pairs |= needed
 
-    totals = np.zeros(len(diagrams))
-    chunk = qspec.chunk_nodes if dim > 1 else n_nodes
+    totals = np.zeros(len(per_diagram))
+    chunk = chunk_nodes if dim > 1 else n_nodes
     for start in range(0, n_nodes, chunk):
         stop = min(start + chunk, n_nodes)
         positions: list[np.ndarray | float] = [0.0]
@@ -287,19 +300,23 @@ def _integrate_level(
             remaining = remaining * (1.0 - r_ax)
         if mode == "full":
             measure = measure * remaining
-        pair_values = {
-            (a, b): _propagator_grid(positions[b] - positions[a], params, omega_big)
+        # at_separation rejects separations outside [0, beta]; keep
+        # round-off from reaching its range check
+        powered = {
+            ((a, b), 1): propagator.at_separation(
+                np.clip(positions[b] - positions[a], 0.0, beta)
+            )
             for (a, b) in needed_pairs
         }
-        for index, (orderings, _) in enumerate(per_diagram):
-            for edge_slots in orderings:
+        for index, (classes, _) in enumerate(per_diagram):
+            for count, edge_slots in classes:
                 product: np.ndarray | None = None
                 for pair, power in edge_slots:
-                    factor = pair_values[pair]
-                    if power != 1:
-                        factor = factor**power
+                    factor = powered.get((pair, power))
+                    if factor is None:
+                        factor = powered[(pair, power)] = powered[(pair, 1)] ** power
                     product = factor if product is None else product * factor
-                totals[index] += float(np.sum(measure * product))
+                totals[index] += count * float(np.sum(measure * product))
     return totals
 
 
@@ -310,21 +327,36 @@ def _refined_integrals(
     qspec: QuadratureSpec,
     mode: str,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Refine by panel halving until every diagram's value is stable.
+    """Integrate on panels halved level by level until the error estimate passes.
 
-    Returns (values, change bounds, converged flag); the bound is the
-    absolute change over the last refinement.
+    At each level the ``nodes_per_panel`` Gauss-Legendre rule and an
+    embedded rule with half as many nodes (at least one) run on the same
+    panel edges.  Refinement stops at the first level where every
+    diagram's |full - embedded| is at most ``rel_tol`` times |full|.
+    Returns (values, bounds, converged flag): the full rule's values and
+    |full - embedded| at the last level evaluated.  Once the embedded
+    rule resolves the integrand its error dominates the difference, which
+    then over-estimates the error of the value returned; a rule of one or
+    two nodes on panels wider than the decay length 1/(beta Omega) can
+    agree with the full rule by accident and under-estimate it.
     """
-    previous = None
-    values = np.full(len(diagrams), math.nan)
-    bounds = np.full(len(diagrams), math.inf)
+    propagator = Propagator(params.m, omega_big, params.beta)
+    per_diagram = [_slot_orderings(d, mode) for d in diagrams]
+    dim = diagrams[0].order - 1
+    embedded_nodes = max(1, qspec.nodes_per_panel // 2)
     for level in range(qspec.max_refinements + 1):
-        values = _integrate_level(params, omega_big, diagrams, qspec, level, mode)
-        if previous is not None:
-            bounds = np.abs(values - previous)
-            if np.all(bounds <= qspec.rel_tol * np.abs(values)):
-                return values, bounds, True
-        previous = values
+        edges = _panel_edges(params.beta * omega_big, qspec, level)
+        values, embedded = (
+            _integrate_level(
+                propagator, per_diagram, dim,
+                *_nodes_and_weights(edges, nodes_per_panel),
+                qspec.chunk_nodes, mode,
+            )
+            for nodes_per_panel in (qspec.nodes_per_panel, embedded_nodes)
+        )
+        bounds = np.abs(values - embedded)
+        if np.all(bounds <= qspec.rel_tol * np.abs(values)):
+            return values, bounds, True
     return values, bounds, False
 
 

@@ -9,6 +9,7 @@ from quartic_vpe.core import ModelParams
 from quartic_vpe.diagrams import (
     DiagramSpec,
     QuadratureSpec,
+    _slot_orderings,
     builtin_diagrams,
     quad_correction,
     quad_diagram,
@@ -98,6 +99,23 @@ class TestDiagramSpec:
             DiagramSpec(order=2, edges=((0, 1, 4),), symmetry_factor=0, label="sym")
 
 
+class TestOrderingClasses:
+    def test_multiplicities_count_every_ordering(self):
+        for d in builtin_diagrams():
+            reduced, _ = _slot_orderings(d, "reduced")
+            full, _ = _slot_orderings(d, "full")
+            assert sum(count for count, _ in reduced) == math.factorial(d.order - 1)
+            assert sum(count for count, _ in full) == math.factorial(d.order)
+
+    def test_order_four_reflection_classes(self):
+        counts = {
+            d.label: len(_slot_orderings(d, "reduced")[0])
+            for d in builtin_diagrams()
+            if d.order == 4
+        }
+        assert counts == {"4a": 2, "4b": 2, "4c": 3}
+
+
 class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -137,7 +155,9 @@ class TestOracleAgreement:
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=3.0)
         w = solve_gap(p).omega_big
         diagrams = builtin_diagrams()
-        for label in ("2", "3", "4a"):
+        # full mode merges only identical edge lists, so 4a-4c also check
+        # the reflection pairing of reduced mode
+        for label in ("2", "3", "4a", "4b", "4c"):
             d = next(di for di in diagrams if di.label == label)
             reduced = quad_diagram(p, w, d, mode="reduced")
             full = quad_diagram(p, w, d, mode="full")
@@ -193,6 +213,23 @@ class TestFailureModes:
             quad_diagram(p, w, ring, qspec=starved)
         assert err.value.value is not None
         assert err.value.bound is not None and err.value.bound > 0.0
+
+    def test_embedded_bound_covers_the_error(self):
+        # the full-vs-embedded difference carried by the error bounds the
+        # distance of the returned value from the closed form, from the
+        # uniform to the graded panel regime; an embedded rule of one or
+        # two nodes is not covered: it can agree with the full rule by
+        # accident (see _refined_integrals)
+        starved = QuadratureSpec(
+            nodes_per_panel=6, panels_per_dim=1, rel_tol=1e-15, max_refinements=1
+        )
+        for beta in (0.5, 2.0, 5.0, 20.0):
+            p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=beta)
+            w = solve_gap(p).omega_big
+            for order, closed in ((2, c2_closed), (3, c3_closed), (4, c4_closed)):
+                with pytest.raises(ConvergenceError) as err:
+                    quad_correction(p, w, order, qspec=starved)
+                assert abs(err.value.value - closed(p, w)) <= err.value.bound
 
     def test_argument_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)

@@ -342,6 +342,10 @@ class TestCli:
         assert main(["point", "--z", "10", "--t-reduced", "1",
                      "--beta", "2"]) == 1
 
+    def test_oracle_check_rejects_non_positive_tol(self, capsys):
+        assert main(["oracle-check", "--beta", "2", "--tol", "0"]) == 1
+        assert "tolerance must be positive" in capsys.readouterr().err
+
     def test_usage_errors_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
