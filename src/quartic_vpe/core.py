@@ -98,7 +98,7 @@ def rescale(params: ModelParams) -> RescaledParams:
         )
     lam_23 = params.lam ** (-2.0 / 3.0)
     return RescaledParams(
-        z=0.5 * params.omega**2 * lam_23,
+        z=0.5 * (params.omega * params.omega) * lam_23,
         t_reduced=params.temperature * params.lam ** (-1.0 / 3.0),
     )
 
@@ -171,14 +171,6 @@ def coth_half(x: float) -> float:
         raise ValidationError(f"coth_half needs x > 0, got {x}")
     q = math.exp(-x)
     return (1.0 + q) / -math.expm1(-x)
-
-
-def csch_half_sq(x: float) -> float:
-    """1/sinh^2(x/2) = 4 e^{-x} / (1 - e^{-x})^2 for x > 0, overflow-safe."""
-    if x <= 0.0:
-        raise ValidationError(f"csch_half_sq needs x > 0, got {x}")
-    d = -math.expm1(-x)
-    return 4.0 * math.exp(-x) / (d * d)
 
 
 def propagator_matsubara(p: Propagator, s: float, n_max: int) -> float:

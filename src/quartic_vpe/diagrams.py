@@ -168,8 +168,10 @@ class QuadratureSpec:
     chunk_nodes: int = 16
 
     def __post_init__(self) -> None:
-        if self.nodes_per_panel < 2:
-            raise ValidationError("nodes_per_panel must be >= 2")
+        # the embedded error rule gets half the nodes; with fewer than three
+        # it can agree with the full rule by accident (see _refined_integrals)
+        if self.nodes_per_panel < 6:
+            raise ValidationError("nodes_per_panel must be >= 6")
         if self.panels_per_dim < 1:
             raise ValidationError("panels_per_dim must be >= 1")
         if not (self.rel_tol > 0.0):
@@ -330,20 +332,21 @@ def _refined_integrals(
     """Integrate on panels halved level by level until the error estimate passes.
 
     At each level the ``nodes_per_panel`` Gauss-Legendre rule and an
-    embedded rule with half as many nodes (at least one) run on the same
+    embedded rule with half as many nodes (at least three) run on the same
     panel edges.  Refinement stops at the first level where every
     diagram's |full - embedded| is at most ``rel_tol`` times |full|.
     Returns (values, bounds, converged flag): the full rule's values and
     |full - embedded| at the last level evaluated.  Once the embedded
     rule resolves the integrand its error dominates the difference, which
-    then over-estimates the error of the value returned; a rule of one or
-    two nodes on panels wider than the decay length 1/(beta Omega) can
-    agree with the full rule by accident and under-estimate it.
+    then over-estimates the error of the value returned.  An embedded rule
+    of one or two nodes on panels wider than the decay length
+    1/(beta Omega) could agree with the full rule by accident and
+    under-estimate it; ``QuadratureSpec`` rules that out.
     """
     propagator = Propagator(params.m, omega_big, params.beta)
     per_diagram = [_slot_orderings(d, mode) for d in diagrams]
     dim = diagrams[0].order - 1
-    embedded_nodes = max(1, qspec.nodes_per_panel // 2)
+    embedded_nodes = qspec.nodes_per_panel // 2
     for level in range(qspec.max_refinements + 1):
         edges = _panel_edges(params.beta * omega_big, qspec, level)
         values, embedded = (

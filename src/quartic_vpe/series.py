@@ -22,11 +22,12 @@ numerical quadrature of those integrals (see the ``diagrams`` module).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .core import ModelParams
 from .errors import ValidationError
-from .variational import DEFAULT_TOL, VariationalSolution, solve_gap
+from .variational import VariationalSolution, solve_gap
 
 __all__ = [
     "FreeEnergySeries",
@@ -96,6 +97,21 @@ def _factor_4(x: float) -> float:
 _FACTORS = {2: _factor_2, 3: _factor_3, 4: _factor_4}
 
 
+@contextmanager
+def _in_double_range(what: str, x: float):
+    """Report a float overflow or an underflow to zero divisor as a ValidationError.
+
+    Products that overflow come out as +-inf instead; a row holding one is
+    rejected when it is built.
+    """
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(
+            f"{what} is outside double precision at beta*Omega = {x:.3g}"
+        ) from None
+
+
 def temperature_factor(order: int, x: float) -> float:
     """Evaluate the dimensionless factor R_n(x) for n in {2, 3, 4}.
 
@@ -106,7 +122,8 @@ def temperature_factor(order: int, x: float) -> float:
         raise ValidationError(f"no temperature factor of order {order}")
     if not (x > 0.0) or not math.isfinite(x):
         raise ValidationError(f"x = beta*Omega must be positive and finite, got {x}")
-    return _FACTORS[order](x)
+    with _in_double_range(f"R_{order}", x):
+        return _FACTORS[order](x)
 
 
 def _check_omega(omega_big: float) -> None:
@@ -121,8 +138,9 @@ def c2_closed(params: ModelParams, omega_big: float) -> float:
     _check_omega(omega_big)
     lam, m = params.lam, params.m
     x = params.beta * omega_big
-    pref = -3.0 * lam * lam / (64.0 * m**4 * omega_big**5)
-    return pref * _factor_2(x)
+    with _in_double_range("c2", x):
+        pref = -3.0 * lam * lam / (64.0 * m**4 * omega_big**5)
+        return pref * _factor_2(x)
 
 
 def c3_closed(params: ModelParams, omega_big: float) -> float:
@@ -130,8 +148,9 @@ def c3_closed(params: ModelParams, omega_big: float) -> float:
     _check_omega(omega_big)
     lam, m = params.lam, params.m
     x = params.beta * omega_big
-    pref = 9.0 * lam**3 / (512.0 * m**6 * omega_big**8)
-    return pref * _factor_3(x)
+    with _in_double_range("c3", x):
+        pref = 9.0 * lam**3 / (512.0 * m**6 * omega_big**8)
+        return pref * _factor_3(x)
 
 
 def c4_closed(params: ModelParams, omega_big: float) -> float:
@@ -144,8 +163,9 @@ def c4_closed(params: ModelParams, omega_big: float) -> float:
     _check_omega(omega_big)
     lam, m = params.lam, params.m
     x = params.beta * omega_big
-    pref = -3.0 * lam**4 / (32768.0 * m**8 * omega_big**11)
-    return pref * (_factor_4(x) / x)
+    with _in_double_range("c4", x):
+        pref = -3.0 * lam**4 / (32768.0 * m**8 * omega_big**11)
+        return pref * (_factor_4(x) / x)
 
 
 _CORRECTIONS = {2: c2_closed, 3: c3_closed, 4: c4_closed}
@@ -198,7 +218,6 @@ def series_eval(
     params: ModelParams,
     max_order: int = 4,
     solution: VariationalSolution | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> FreeEnergySeries:
     """Solve the gap equation once and evaluate corrections up to max_order.
 
@@ -211,7 +230,7 @@ def series_eval(
             f"max_order must be one of {VALID_ORDERS}, got {max_order}"
         )
     if solution is None:
-        solution = solve_gap(params, tol=tol)
+        solution = solve_gap(params)
     values: dict[int, float] = {}
     for order in (2, 3, 4):
         if order <= max_order:

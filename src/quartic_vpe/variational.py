@@ -8,11 +8,13 @@ The Gaussian trial functional at frequency Omega is
 with the equal-time propagator G_tt = coth(beta Omega/2) / (2 m Omega).
 Stationarity d Fbar / d Omega^2 = 0 is the gap equation
 
-    Omega^2 = omega^2 + (6 lambda / (m^2 Omega)) coth(beta Omega / 2),
+    Omega^2 = omega^2 + (6 lambda / (m^2 Omega)) coth(beta Omega / 2).
 
-whose unique positive root minimizes Fbar (Fbar -> +inf both as Omega -> 0+
-and Omega -> inf for lambda > 0).  At the root the variational free energy
-collapses to
+Its residual r(Omega) = Omega^2 - omega^2 - (6 lambda/(m^2 Omega)) coth(beta Omega/2)
+is increasing in Omega, and d Fbar / d Omega^2 = (positive factor) * r, so
+the unique positive root is the minimum of Fbar (Fbar -> +inf both as
+Omega -> 0+ and Omega -> inf for lambda > 0).  At the root the
+variational free energy collapses to
 
     F0 = (1/beta) ln(2 sinh(beta Omega/2)) - 3 lambda G_tt^2.
 
@@ -21,60 +23,53 @@ The same Omega is reused, unchanged, by all higher-order corrections.
 
 from __future__ import annotations
 
-import enum
 import math
+import sys
 from dataclasses import dataclass
 
-from .core import ModelParams, coth_half, csch_half_sq, harmonic_free_energy
+from .core import ModelParams, Propagator, coth_half, harmonic_free_energy
 from .errors import ConvergenceError, ValidationError
 
 __all__ = [
-    "Branch",
     "VariationalSolution",
     "fbar",
     "dfbar_domega2",
     "solve_gap",
     "f0",
-    "branch_limits",
 ]
 
-DEFAULT_TOL = 1e-12
-
-
-class Branch(enum.Enum):
-    """Which extremal branch of the trial functional the solution sits on."""
-
-    NONZERO_ROOT = "nonzero-root"
-    ZERO = "zero"
-    INFINITE = "infinite"
+# The solver stops once the scaled residual is within STOP_ULPS ulp of its
+# largest term, or once its bracket has shrunk to adjacent floats.
+STOP_ULPS = 4.0
+# Hard caps: halvings/doublings that may correct the analytic bracket for
+# round-off, and Newton-or-bisection steps (bisection alone needs about 55).
+MAX_BRACKET_STEPS = 64
+MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
 class VariationalSolution:
-    """Converged gap-equation solution.
+    """Gap-equation root and F0 there.
 
-    residual is |Omega^2 - omega^2 - (6 lambda/(m^2 Omega)) coth(beta Omega/2)|;
-    second_variation_sign is the sign of d^2 Fbar / d(Omega^2)^2 at the root
-    (+1 for a minimum), from a second central difference.
+    residual is |Omega^2 - omega^2 - (6 lambda/(m^2 Omega)) coth(beta Omega/2)|
+    at the returned Omega; iterations counts residual evaluations.
     """
 
     omega_big: float
     f0: float
-    branch: Branch
     residual: float
-    second_variation_sign: int
     iterations: int
 
 
-def _equal_time(params: ModelParams, omega_big: float) -> float:
-    return coth_half(params.beta * omega_big) / (2.0 * params.m * omega_big)
+def _x_over_sinh(x: float) -> float:
+    """x / sinh(x) = 2x e^{-x} / (1 - e^{-2x}) for x > 0, overflow-safe."""
+    q = math.exp(-x)
+    return x * (2.0 * q) / -math.expm1(-2.0 * x) if q > 0.0 else 0.0
 
 
 def fbar(params: ModelParams, omega_big: float) -> float:
     """Trial free energy Fbar(Omega) for any Omega > 0 (not only at the root)."""
-    if omega_big <= 0.0:
-        raise ValidationError(f"Omega must be positive, got {omega_big}")
-    g = _equal_time(params, omega_big)
+    g = Propagator(params.m, omega_big, params.beta).equal_time()
     return (
         harmonic_free_energy(params.m, omega_big, params.beta)
         + 0.5 * params.m * (params.omega**2 - omega_big**2) * g
@@ -91,184 +86,109 @@ def dfbar_domega2(params: ModelParams, omega_big: float) -> float:
         d Fbar / d Omega^2 = (G_tt'(Omega) / 2 Omega)
                              * [ (1/2) m (omega^2 - Omega^2) + 6 lambda G_tt ],
 
-    so the stationary point is exactly the gap-equation root (G_tt' < 0 always).
+    with G_tt' = -(G_tt / Omega) (1 + x / sinh x) < 0, x = beta Omega.  The
+    bracket is -(m/2) r(Omega), so the stationary point is the gap root.
     """
-    if omega_big <= 0.0:
-        raise ValidationError(f"Omega must be positive, got {omega_big}")
-    m, beta = params.m, params.beta
-    x = beta * omega_big
-    g = _equal_time(params, omega_big)
-    dg = -beta * csch_half_sq(x) / (4.0 * m * omega_big) - g / omega_big
-    bracket = 0.5 * m * (params.omega**2 - omega_big**2) + 6.0 * params.lam * g
+    g = Propagator(params.m, omega_big, params.beta).equal_time()
+    dg = -g / omega_big * (1.0 + _x_over_sinh(params.beta * omega_big))
+    bracket = 0.5 * params.m * (params.omega**2 - omega_big**2) + 6.0 * params.lam * g
     return dg / (2.0 * omega_big) * bracket
 
 
-def _gap_residual(params: ModelParams, omega_big: float) -> float:
-    """r(Omega) = Omega^2 - omega^2 - (6 lambda/(m^2 Omega)) coth(beta Omega/2)."""
-    return (
-        omega_big * omega_big
-        - params.omega**2
-        - 6.0 * params.lam / (params.m**2 * omega_big) * coth_half(params.beta * omega_big)
-    )
+def _scaled_residual(params: ModelParams, a: float, om: float) -> tuple[float, float, float]:
+    """rho = r(Omega)/Omega^2 = 1 - t1 - t2, its largest term, and Omega rho'(Omega).
+
+    t1 = omega^2/Omega^2 and t2 = a coth(x/2)/Omega^3 with a = 6 lambda/m^2
+    and x = beta Omega; near the root both lie in [0, 1], so nothing
+    overflows.  The slope Omega rho' = 2 t1 + t2 (3 + x/sinh x) is positive.
+    """
+    x = params.beta * om
+    u = params.omega / om
+    t1 = u * u
+    t2 = a / om / om / om * coth_half(x)
+    rho = 1.0 - t1 - t2
+    if math.isnan(rho):
+        raise ValidationError(
+            f"gap residual is not representable in double precision at Omega = {om!r}"
+        )
+    return rho, max(1.0, t1, t2), 2.0 * t1 + t2 * (3.0 + _x_over_sinh(x))
 
 
-def _gap_residual_prime(params: ModelParams, omega_big: float) -> float:
-    m2 = params.m**2
-    x = params.beta * omega_big
-    c = coth_half(x)
-    return (
-        2.0 * omega_big
-        + 6.0 * params.lam / (m2 * omega_big**2) * c
-        + 3.0 * params.lam * params.beta / (m2 * omega_big) * csch_half_sq(x)
-    )
+def _solve(params: ModelParams) -> tuple[float, float, int]:
+    """Safeguarded Newton on rho inside a bracket rho(lo) < 0 < rho(hi).
 
+    Returns (Omega, rho(Omega), residual evaluations).  The start bracket is
+    analytic: with coth(x/2) between max(1, 2/x) and 1 + 2/x, the root lies in
+    [L, sqrt(3) L] for L = max(omega, a^(1/3), (2a/beta)^(1/4)).  rho is
+    concave, so Newton from L climbs monotonically; a step that leaves the
+    bracket is replaced by bisection.
+    """
+    m2 = params.m * params.m
+    a = 6.0 * params.lam / m2 if m2 > 0.0 else math.inf
+    if not (sys.float_info.min <= a < math.inf
+            and math.isfinite(params.omega * params.omega)):
+        raise ValidationError(
+            "gap equation is not representable in double precision: "
+            f"6 lambda/m^2 = {a!r}, omega = {params.omega!r}"
+        )
+    lo = max(params.omega, a ** (1.0 / 3.0), 2.0**0.25 * a**0.25 / params.beta**0.25)
+    hi = math.sqrt(3.0) * lo
+    evals = 0
 
-def _bracket_root(params: ModelParams) -> tuple[float, float]:
-    """Find [lo, hi] with r(lo) < 0 < r(hi); r is increasing in Omega."""
-    hi = max(params.omega, 1.0, (6.0 * params.lam / params.m**2) ** (1.0 / 3.0))
-    for _ in range(200):
-        if _gap_residual(params, hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("gap bracket: residual never became positive")
-    lo = hi / 2.0
-    for _ in range(600):
-        if _gap_residual(params, lo) < 0.0:
-            break
-        lo /= 2.0
-    else:
-        raise ConvergenceError("gap bracket: residual never became negative")
-    return lo, hi
+    def residual(om):
+        nonlocal evals
+        evals += 1
+        return _scaled_residual(params, a, om)
 
-
-def _solve_fixed_point(params: ModelParams, tol: float, max_iter: int) -> tuple[float, int]:
-    """Damped fixed point Omega <- sqrt(omega^2 + (6 lam/(m^2 Omega)) coth(...)),
-    finished off with Newton steps on the residual."""
-    m2 = params.m**2
-    om = max(params.omega, (6.0 * params.lam / m2) ** (1.0 / 3.0), 1e-3)
-    theta = 0.5
-    iters = 0
-    for _ in range(200):
-        iters += 1
-        target = params.omega**2 + 6.0 * params.lam / (m2 * om) * coth_half(params.beta * om)
-        nxt = (1.0 - theta) * om + theta * math.sqrt(target)
-        if abs(nxt - om) <= 1e-14 * om:
-            om = nxt
-            break
-        om = nxt
-    # Newton polish to drive the Omega^2 residual to machine level
-    for _ in range(60):
-        r = _gap_residual(params, om)
-        if abs(r) < tol:
-            return om, iters
-        iters += 1
-        step = r / _gap_residual_prime(params, om)
-        nxt = om - step
-        if nxt <= 0.0:
-            nxt = om / 2.0
-        if nxt == om:
-            break
-        om = nxt
-    r = _gap_residual(params, om)
-    if abs(r) < tol:
-        return om, iters
-    raise ConvergenceError(
-        f"gap fixed-point iteration stalled with residual {r:.3e} (tol {tol:.1e})",
-        value=om,
-        bound=abs(r),
-    )
-
-
-def _solve_bisection(params: ModelParams, tol: float, max_iter: int) -> tuple[float, int]:
-    lo, hi = _bracket_root(params)
-    iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _gap_residual(params, mid) < 0.0:
-            lo = mid
+    r_lo, r_hi = residual(lo)[0], residual(hi)[0]
+    for _ in range(MAX_BRACKET_STEPS):
+        if r_lo > 0.0:
+            lo *= 0.5
+            r_lo = residual(lo)[0]
+        elif r_hi < 0.0:
+            hi *= 2.0
+            r_hi = residual(hi)[0]
         else:
-            hi = mid
-    om = 0.5 * (lo + hi)
-    r = _gap_residual(params, om)
-    if abs(r) < tol:
-        return om, iters
-    # the interval collapsed to adjacent floats; pick the endpoint with the
-    # smaller residual before giving up
-    for cand in (lo, hi):
-        rc = _gap_residual(params, cand)
-        if abs(rc) < abs(r):
-            om, r = cand, rc
-    if abs(r) < tol:
-        return om, iters
+            break
+    if not r_lo <= 0.0 <= r_hi:
+        raise ConvergenceError(
+            f"gap bracket: no sign change in [{lo!r}, {hi!r}]", value=lo, bound=math.inf
+        )
+
+    eps = sys.float_info.epsilon
+    om = lo
+    for _ in range(MAX_STEPS):
+        r, scale, slope = residual(om)
+        if abs(r) <= STOP_ULPS * eps * scale:
+            return om, r, evals
+        if r < 0.0:
+            lo, r_lo = om, r
+        else:
+            hi, r_hi = om, r
+        if math.nextafter(lo, hi) >= hi:
+            return (lo, r_lo, evals) if abs(r_lo) <= abs(r_hi) else (hi, r_hi, evals)
+        om = om - om * r / slope
+        if not lo < om < hi:
+            om = 0.5 * (lo + hi)
     raise ConvergenceError(
-        f"gap bisection finished with residual {r:.3e} (tol {tol:.1e})",
+        f"gap solver: no convergence in {MAX_STEPS} steps, bracket [{lo!r}, {hi!r}]",
         value=om,
-        bound=abs(r),
+        bound=hi - lo,
     )
 
 
-def branch_limits(params: ModelParams) -> tuple[float, float]:
-    """Limiting values of Fbar on the boundary branches (Omega -> 0+, Omega -> inf).
-
-    As Omega -> 0+ the interaction term 3 lambda G_tt^2 ~ 3 lambda/(m beta Omega^2)^2
-    diverges; as Omega -> inf the harmonic and mass terms leave a net +Omega/4.
-    Both limits are +inf for lambda > 0, so the interior root always wins the
-    branch comparison.
-    """
-    return math.inf, math.inf
-
-
-def solve_gap(
-    params: ModelParams,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
-    method: str = "fixed-point",
-) -> VariationalSolution:
-    """Solve the gap equation and evaluate F0 at the root.
-
-    method is "fixed-point" (damped iteration + Newton polish, the default) or
-    "bisection" (pure bracketing); both drive the Omega^2 residual below tol.
-    """
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if method == "fixed-point":
-        om, iters = _solve_fixed_point(params, tol, max_iter)
-    elif method == "bisection":
-        om, iters = _solve_bisection(params, tol, max_iter)
-    else:
-        raise ValidationError(f"unknown gap method {method!r}")
-
-    g = _equal_time(params, om)
-    f0_val = harmonic_free_energy(params.m, om, params.beta) - 3.0 * params.lam * g * g
-
-    # branch comparison: interior root vs boundary branches
-    lim0, liminf = branch_limits(params)
-    branch = Branch.NONZERO_ROOT
-    if lim0 < f0_val or liminf < f0_val:  # unreachable for lambda > 0; kept for the record
-        branch = Branch.ZERO if lim0 <= liminf else Branch.INFINITE
-
-    u = om * om
-    h = 1e-5 * u
-    fp = fbar(params, math.sqrt(u + h))
-    fm = fbar(params, math.sqrt(u - h))
-    fc = fbar(params, om)
-    second = (fp - 2.0 * fc + fm) / (h * h)
-    sign = 1 if second > 0.0 else (-1 if second < 0.0 else 0)
-
+def solve_gap(params: ModelParams) -> VariationalSolution:
+    """Solve the gap equation and evaluate F0 at the root."""
+    om, rho, evals = _solve(params)
+    g = Propagator(params.m, om, params.beta).equal_time()
     return VariationalSolution(
         omega_big=om,
-        f0=f0_val,
-        branch=branch,
-        residual=abs(_gap_residual(params, om)),
-        second_variation_sign=sign,
-        iterations=iters,
+        f0=harmonic_free_energy(params.m, om, params.beta) - 3.0 * params.lam * g * g,
+        residual=abs(rho) * om * om,
+        iterations=evals,
     )
 
 
-def f0(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
+def f0(params: ModelParams) -> float:
     """Variational free energy F0 at the gap-equation root."""
-    return solve_gap(params, tol=tol).f0
+    return solve_gap(params).f0

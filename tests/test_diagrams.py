@@ -121,6 +121,8 @@ class TestQuadratureSpec:
         with pytest.raises(ValidationError):
             QuadratureSpec(nodes_per_panel=1)
         with pytest.raises(ValidationError):
+            QuadratureSpec(nodes_per_panel=5)
+        with pytest.raises(ValidationError):
             QuadratureSpec(panels_per_dim=0)
         with pytest.raises(ValidationError):
             QuadratureSpec(rel_tol=0.0)
@@ -206,7 +208,7 @@ class TestFailureModes:
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
         w = solve_gap(p).omega_big
         starved = QuadratureSpec(
-            nodes_per_panel=2, panels_per_dim=1, rel_tol=1e-15, max_refinements=1
+            nodes_per_panel=6, panels_per_dim=1, rel_tol=1e-15, max_refinements=1
         )
         ring = next(d for d in builtin_diagrams() if d.label == "4a")
         with pytest.raises(ConvergenceError) as err:
@@ -217,9 +219,8 @@ class TestFailureModes:
     def test_embedded_bound_covers_the_error(self):
         # the full-vs-embedded difference carried by the error bounds the
         # distance of the returned value from the closed form, from the
-        # uniform to the graded panel regime; an embedded rule of one or
-        # two nodes is not covered: it can agree with the full rule by
-        # accident (see _refined_integrals)
+        # uniform to the graded panel regime, at the smallest rule
+        # QuadratureSpec accepts
         starved = QuadratureSpec(
             nodes_per_panel=6, panels_per_dim=1, rel_tol=1e-15, max_refinements=1
         )

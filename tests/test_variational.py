@@ -1,20 +1,19 @@
 """Gap equation, trial functional, and variational free energy F0."""
 
+import itertools
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from quartic_vpe import variational
+from quartic_vpe.cli import main
 from quartic_vpe.core import ModelParams, coth_half
-from quartic_vpe.errors import ValidationError
-from quartic_vpe.variational import (
-    Branch,
-    branch_limits,
-    dfbar_domega2,
-    f0,
-    fbar,
-    solve_gap,
-)
+from quartic_vpe.errors import ConvergenceError, ValidationError
+from quartic_vpe.series import c2_closed, c3_closed, c4_closed
+from quartic_vpe.variational import dfbar_domega2, f0, fbar, solve_gap
 
 RNG = np.random.default_rng(7041)
 
@@ -41,14 +40,6 @@ class TestGapEquation:
         for mp in random_params(200):
             s = solve_gap(mp)
             assert s.residual < 1e-12
-            assert s.branch is Branch.NONZERO_ROOT
-            assert s.second_variation_sign == 1
-
-    def test_strategies_agree(self):
-        for mp in random_params(60):
-            a = solve_gap(mp, method="fixed-point")
-            b = solve_gap(mp, method="bisection")
-            assert abs(a.omega_big - b.omega_big) <= 1e-10 * a.omega_big
 
     def test_stationarity_of_trial_functional(self):
         for mp in random_params(40):
@@ -74,9 +65,19 @@ class TestGapEquation:
         s = solve_gap(ModelParams(m=1.0, omega=0.0, lam=1.0, beta=400.0))
         assert s.omega_big == pytest.approx(6.0 ** (1.0 / 3.0), rel=1e-10)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValidationError):
-            solve_gap(ModelParams(1.0, 1.0, 1.0, 1.0), method="newton-krylov")
+    def test_step_cap_raises_with_bracket(self, monkeypatch):
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
+        root = solve_gap(p).omega_big
+        monkeypatch.setattr(variational, "MAX_STEPS", 1)
+        with pytest.raises(ConvergenceError) as err:
+            solve_gap(p)
+        assert abs(err.value.value - root) <= err.value.bound
+
+    def test_tiny_coupling_at_zero_temperature(self):
+        # omega = 0, T -> 0: Omega^3 = 6 lambda / m^2 even where Omega^2 is far
+        # below any absolute tolerance
+        s = solve_gap(ModelParams(m=1.0, omega=0.0, lam=1e-300, beta=1e300))
+        assert s.omega_big == pytest.approx((6e-300) ** (1.0 / 3.0), rel=1e-12)
 
 
 class TestTrialFunctional:
@@ -103,9 +104,7 @@ class TestTrialFunctional:
                 assert fbar(mp, factor * s.omega_big) >= f_root - 1e-13 * abs(f_root)
 
     def test_boundary_branches_lose(self):
-        lim0, liminf = branch_limits(ModelParams(1.0, 1.0, 1.0, 1.0))
-        assert lim0 == math.inf and liminf == math.inf
-        # numeric approach to the limits: Fbar blows up on both sides
+        # Fbar blows up on both sides of the root
         mp = ModelParams(1.0, 1.0, 1.0, 1.0)
         root = solve_gap(mp)
         assert fbar(mp, 1e-3) > 10.0 * abs(root.f0)
@@ -130,3 +129,95 @@ class TestF0:
         s = solve_gap(ModelParams(m=1.0, omega=10.0, lam=0.5, beta=1000.0))
         assert math.isfinite(s.f0)
         assert s.residual < 1e-12
+
+
+def finite_or_none(closed, params, omega_big):
+    """The closed form's value if it is finite; None if it leaves double range."""
+    try:
+        value = closed(params, omega_big)
+    except ValidationError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+CORRECTIONS = ((c2_closed, -1.0), (c3_closed, 1.0), (c4_closed, -1.0))
+
+# m, omega, lambda and beta over decades, from weak to strong coupling and
+# from beta*Omega ~ 1e-13 to ~ 1e15
+GRID = [
+    ModelParams(m=m, omega=om, lam=lam, beta=10.0**e)
+    for m, om, lam, e in itertools.product(
+        (1e-3, 1.0, 1e3), (0.0, 1.0, 1e3), (1e-12, 1.0, 1e8), range(-12, 13)
+    )
+]
+# beta*Omega ~ 2e-300, 3e-301, 1e300 and 2e300
+EXTREMES = [
+    ModelParams(m=1.0, omega=0.0, lam=1e-300, beta=1e-300),
+    ModelParams(m=1.0, omega=0.0, lam=1e-300, beta=1e-301),
+    ModelParams(m=1.0, omega=1.0, lam=1e-12, beta=1e300),
+    ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e300),
+]
+
+
+class TestRangeSweep:
+    def check_root(self, p):
+        s = solve_gap(p)
+        om = s.omega_big
+        assert math.isfinite(om) and om > 0.0, p
+        assert math.isfinite(s.f0), p
+        assert s.residual <= 8.0 * sys.float_info.epsilon * om * om, p
+        return s
+
+    def test_grid(self):
+        for p in GRID:
+            s = self.check_root(p)
+            for closed, sign in CORRECTIONS:
+                value = finite_or_none(closed, p, s.omega_big)
+                assert value is not None and sign * value > 0.0, (p, closed.__name__)
+
+    def test_extreme_beta_omega(self):
+        xs = []
+        for p in EXTREMES:
+            s = self.check_root(p)
+            xs.append(p.beta * s.omega_big)
+            for closed, sign in CORRECTIONS:
+                value = finite_or_none(closed, p, s.omega_big)
+                assert value is None or sign * value > 0.0, (p, closed.__name__)
+        assert min(xs) < 1e-299 and max(xs) > 1e300
+
+    def test_corrections_finite_down_to_their_floor(self):
+        # the 1/x^k high-temperature poles take c2, c3, c4 out of double
+        # range below these beta*Omega; above them every decade is finite
+        floors = {c2_closed: 1e-101, c3_closed: 1e-75, c4_closed: 1e-59}
+        for e in range(-300, 301):
+            p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=10.0**e)
+            s = self.check_root(p)
+            x = p.beta * s.omega_big
+            for closed, sign in CORRECTIONS:
+                value = finite_or_none(closed, p, s.omega_big)
+                if x >= floors[closed]:
+                    assert value is not None and sign * value > 0.0, (p, closed.__name__)
+
+
+class TestOutOfRangeCli:
+    @pytest.mark.parametrize("argv", [
+        ["point", "--beta", "1e-300"],
+        ["point", "--beta", "1e-170", "--order", "4"],
+        ["point", "--beta", "1e-100"],
+        ["point", "--omega", "1e200"],
+        ["point", "--lambda", "1e300", "--mass", "1e-300", "--order", "0"],
+    ])
+    def test_one_error_line(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_tiny_beta_keeps_f0(self, capsys):
+        # high-temperature limit at m = omega = lambda = 1: coth(x/2) -> 2/x
+        # gives Omega^4 = 12/beta and F0 = (ln(beta Omega) - 1/4)/beta
+        beta = 1e-300
+        assert main(["point", "--beta", "1e-300", "--order", "0", "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        omega_big = (12.0 / beta) ** 0.25
+        assert row["omega_big"] == pytest.approx(omega_big, rel=1e-8)
+        assert row["f0"] == pytest.approx((math.log(beta * omega_big) - 0.25) / beta, rel=1e-8)
