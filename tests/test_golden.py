@@ -1,0 +1,109 @@
+"""Golden CLI outputs: stdout bytes and exit codes of representative commands.
+
+Each case runs ``cli.main`` in-process and compares its stdout byte for byte
+with ``tests/golden/<name>.out``; the expected exit code sits in ``CASES``.
+The set covers every subcommand, every output format, the ``--exact`` and
+``--quad`` oracles, reduced mode and degraded rows (exit 2).
+
+The one exception to the byte comparison is the ``exact_step`` cell: the
+last basis-doubling step of the diagonalization oracle is at round-off level
+(1e-15 to 1e-13), and its digits change with the BLAS thread count.  Both
+sides have it replaced by ``*`` before they are compared.
+
+After a deliberate output change, re-record with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which rewrites the ``.out`` files and fails if an exit code moved.
+"""
+
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from quartic_vpe.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# name -> (argv, exit code)
+CASES = {
+    "table1": (["table1"], 0),
+    "table1_exact": (["table1", "--exact"], 0),
+    "table2": (["table2"], 0),
+    "table2_exact": (["table2", "--exact"], 0),
+    "fig1": (["fig1"], 0),
+    "fig2": (["fig2"], 0),
+    "fig3": (["fig3"], 0),
+    "fig1_json": (["fig1", "--points", "7", "--format", "json"], 0),
+    "point_exact_quad": (
+        ["point", "--exact", "--quad", "--order", "3", "--beta", "2"], 0),
+    "point_reduced_json": (
+        ["point", "--z", "10", "--t-reduced", "1", "--format", "json"], 0),
+    "sweep_temp_table": (
+        ["sweep", "--var", "temp", "--from", "1", "--to", "50",
+         "--points", "25", "--format", "table"], 0),
+    "sweep_lam_log": (
+        ["sweep", "--var", "lam", "--from", "1e-12", "--to", "1e8",
+         "--points", "61", "--log"], 0),
+    "oracle_check": (["oracle-check", "--beta", "2"], 0),
+    "oracle_check_degraded": (
+        ["oracle-check", "--beta", "2", "--order", "2", "--tol", "1e-18"], 2),
+    "point_exact_degraded": (["point", "--exact", "--temp", "400"], 2),
+}
+
+
+def run_case(argv):
+    """(exit code, stdout) of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def mask_exact_step(text):
+    """Replace every exact_step value in CSV or JSON output by ``*``."""
+    if not text or text.startswith("["):
+        return re.sub(r'("exact_step": )[^,\n]+', r"\1*", text)
+    lines = text.splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    if "exact_step" not in header:
+        return text
+    i = header.index("exact_step")
+    # the columns before exact_step are numbers, so they hold no comma
+    masked = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",", i + 1)
+        if len(cells) > i + 1 and cells[i]:
+            cells[i] = "*"
+        masked.append(",".join(cells))
+    return "".join(masked)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name):
+    argv, expected_code = CASES[name]
+    code, text = run_case(argv)
+    assert code == expected_code
+    golden = (GOLDEN_DIR / f"{name}.out").read_bytes().decode("utf-8")
+    assert mask_exact_step(text) == mask_exact_step(golden)
+
+
+def record():
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    moved = []
+    for name, (argv, expected_code) in sorted(CASES.items()):
+        code, text = run_case(argv)
+        (GOLDEN_DIR / f"{name}.out").write_bytes(text.encode("utf-8"))
+        if code != expected_code:
+            moved.append(f"{name}: exit {code}, expected {expected_code}")
+    return moved
+
+
+if __name__ == "__main__":
+    problems = record()
+    print("\n".join(problems) or f"recorded {len(CASES)} golden outputs")
+    sys.exit(1 if problems else 0)
