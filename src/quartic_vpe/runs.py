@@ -5,11 +5,16 @@ JSON, or a fixed-width table is handled by :func:`render_rows`.  Output is
 deterministic: identical inputs produce byte-identical CSV (floats at 9
 significant digits, fixed column order given by the ResultRow field order).
 
+Every series row (tables, figures, points, sweeps) comes from one builder,
+``_point_row``: one gap solve per row, whose trial frequency both oracles
+reuse, plus the fixed columns a driver adds (published ``ref_*`` values,
+fig2's blank f2/f3).  The per-order oracle-check rows are the other kind.
+
 Conventions:
 
 * rows carry both the physical coordinates (lam, omega, mass, beta, temp)
   and, whenever mass = 1, the reduced coordinates (z, t_reduced) of the
-  same point;
+  same point; :class:`ResultRow` fills the reduced pair itself;
 * ``f0``/``f2``/``f3``/``f4`` are cumulative partial sums of the
   variational series, not bare corrections;
 * ``ref_*`` columns are published literature values quoted for
@@ -27,6 +32,7 @@ import csv
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -35,13 +41,7 @@ from .core import ModelParams, RescaledParams, rescale, unrescale
 from .diagrams import QuadratureSpec, quad_correction
 from .errors import ConvergenceError, ValidationError
 from .literature import TABLE1, TABLE1_Z, TABLE2
-from .series import (
-    VALID_ORDERS,
-    c2_closed,
-    c3_closed,
-    c4_closed,
-    series_eval,
-)
+from .series import VALID_ORDERS, series_eval
 from .spectrum import exact_free_energy
 
 __all__ = [
@@ -81,6 +81,8 @@ class ResultRow:
     populated numeric field is finite; when both coordinate forms are
     present they describe the same point under the reduced-variable map
     (which requires mass = 1); ``temp`` is the reciprocal of ``beta``.
+    A mass-1 row with the full physical quadruple and no reduced pair gets
+    it filled in.
     """
 
     lam: float | None = None
@@ -128,96 +130,99 @@ class ResultRow:
                 raise ValidationError(
                     f"temp {self.temp} inconsistent with beta {self.beta}"
                 )
-        if self.z is not None or self.t_reduced is not None:
-            if None in (self.lam, self.omega, self.mass, self.beta,
-                        self.z, self.t_reduced):
-                raise ValidationError(
-                    "reduced coordinates require the full physical quadruple"
-                )
-            if self.mass != 1.0:
-                raise ValidationError(
-                    "reduced coordinates are defined for mass = 1 only"
-                )
-            rp = rescale(ModelParams(self.mass, self.omega, self.lam, self.beta))
-            same = math.isclose(self.z, rp.z, rel_tol=1e-9, abs_tol=1e-12) and \
-                math.isclose(self.t_reduced, rp.t_reduced, rel_tol=1e-9)
-            if not same:
-                raise ValidationError(
-                    "reduced and physical coordinates disagree: "
-                    f"({self.z}, {self.t_reduced}) vs ({rp.z}, {rp.t_reduced})"
-                )
+        physical = (self.lam, self.omega, self.mass, self.beta)
+        given = self.z is not None or self.t_reduced is not None
+        if given and None in (*physical, self.z, self.t_reduced):
+            raise ValidationError(
+                "reduced coordinates require the full physical quadruple"
+            )
+        if given and self.mass != 1.0:
+            raise ValidationError(
+                "reduced coordinates are defined for mass = 1 only"
+            )
+        if self.mass != 1.0 or None in physical:
+            return
+        rp = rescale(ModelParams(self.mass, self.omega, self.lam, self.beta))
+        if not given:
+            object.__setattr__(self, "z", rp.z)
+            object.__setattr__(self, "t_reduced", rp.t_reduced)
+        elif not (math.isclose(self.z, rp.z, rel_tol=1e-9, abs_tol=1e-12)
+                  and math.isclose(self.t_reduced, rp.t_reduced, rel_tol=1e-9)):
+            raise ValidationError(
+                "reduced and physical coordinates disagree: "
+                f"({self.z}, {self.t_reduced}) vs ({rp.z}, {rp.t_reduced})"
+            )
 
 
 def _coords(params: ModelParams) -> dict:
-    out = {
+    return {
         "lam": params.lam,
         "omega": params.omega,
         "mass": params.m,
         "beta": params.beta,
         "temp": params.temperature,
     }
-    if params.m == 1.0:
-        rp = rescale(params)
-        out["z"] = rp.z
-        out["t_reduced"] = rp.t_reduced
-    return out
 
 
-def _exact_fields(params: ModelParams, tol: float) -> dict:
-    """Exact-diagonalization column plus its own convergence step size."""
+def _degrade(kw: dict, note: str) -> None:
+    """Mark a row degraded, appending to its note."""
+    kw["status"] = STATUS_DEGRADED
+    kw["note"] = f"{kw['note']}; {note}" if kw.get("note") else note
+
+
+@contextmanager
+def _degrade_on_convergence_error(kw: dict, what: str, value_field: str,
+                                  bound_field: str | None = None):
+    """Turn a ConvergenceError in the body into a degraded row.
+
+    The row gets a ``what: <error>`` note and keeps the error's partial
+    value in ``value_field`` (and its bound in ``bound_field``) when finite.
+    """
     try:
-        res = exact_free_energy(params, tol=tol, full_output=True)
-        return {"exact": res.value, "exact_step": res.step}
+        yield
     except ConvergenceError as exc:
-        out = {"status": STATUS_DEGRADED, "note": f"exact oracle: {exc}"}
+        _degrade(kw, f"{what}: {exc}")
         if exc.value is not None and math.isfinite(exc.value):
-            out["exact"] = float(exc.value)
-            if exc.bound is not None and math.isfinite(exc.bound):
-                out["exact_step"] = float(exc.bound)
-        return out
-
-
-def _merge_status(kw: dict, extra: dict) -> None:
-    """Merge field updates, concatenating notes and keeping the worst status."""
-    note = extra.pop("note", None)
-    status = extra.pop("status", None)
-    kw.update(extra)
-    if status == STATUS_DEGRADED:
-        kw["status"] = STATUS_DEGRADED
-    if note:
-        kw["note"] = f"{kw['note']}; {note}" if kw.get("note") else note
+            kw[value_field] = float(exc.value)
+            if bound_field and exc.bound is not None and math.isfinite(exc.bound):
+                kw[bound_field] = float(exc.bound)
 
 
 def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
-               exact_tol: float, qspec: QuadratureSpec | None) -> ResultRow:
-    if max_order not in VALID_ORDERS:
-        raise ValidationError(
-            f"max_order must be one of {VALID_ORDERS}, got {max_order}"
-        )
+               exact_tol: float, qspec: QuadratureSpec | None,
+               **fixed) -> ResultRow:
+    """The series row of one point, with the requested oracles.
+
+    ``fixed`` holds columns the caller sets outright; they override the
+    computed ones.
+    """
     kw = _coords(params)
     try:
         fe = series_eval(params, max_order=max_order)
     except ConvergenceError as exc:
-        _merge_status(kw, {"status": STATUS_DEGRADED,
-                           "note": f"gap equation: {exc}"})
-        return ResultRow(**kw)
+        _degrade(kw, f"gap equation: {exc}")
+        return ResultRow(**kw, **fixed)
     kw.update(omega_big=fe.omega_big, f0=fe.f0, f2=fe.f2, f3=fe.f3, f4=fe.f4)
+    kw.update(fixed)
     if exact:
-        _merge_status(kw, _exact_fields(params, exact_tol))
+        with _degrade_on_convergence_error(kw, "exact oracle", "exact", "exact_step"):
+            res = exact_free_energy(params, tol=exact_tol, nu=fe.omega_big,
+                                    full_output=True)
+            kw.update(exact=res.value, exact_step=res.step)
     if quad:
-        for order in (2, 3, 4):
-            if order > max_order:
-                break
-            try:
-                value = quad_correction(params, fe.omega_big, order, qspec=qspec)
-                kw[f"quad{order}"] = value
-            except ConvergenceError as exc:
-                extra = {"status": STATUS_DEGRADED,
-                         "note": f"order-{order} quadrature: {exc}"}
-                if exc.value is not None and math.isfinite(exc.value):
-                    extra[f"quad{order}"] = float(exc.value)
-                _merge_status(kw, extra)
+        for order in range(2, max_order + 1):
+            field = f"quad{order}"
+            with _degrade_on_convergence_error(kw, f"order-{order} quadrature", field):
+                kw[field] = quad_correction(params, fe.omega_big, order, qspec=qspec)
     return ResultRow(**kw)
+
+
+def _physical(params: ModelParams | None, rescaled: RescaledParams | None,
+              lam: float) -> ModelParams:
+    """The point given by exactly one of params or rescaled (realized at lam)."""
+    if (params is None) == (rescaled is None):
+        raise ValidationError("give exactly one of params or rescaled")
+    return params if rescaled is None else unrescale(rescaled, lam=lam)
 
 
 def run_point(params: ModelParams | None = None,
@@ -231,11 +236,8 @@ def run_point(params: ModelParams | None = None,
     Exactly one of ``params`` (physical) or ``rescaled`` (reduced; realized
     at coupling ``lam`` with mass 1) must be given.
     """
-    if (params is None) == (rescaled is None):
-        raise ValidationError("give exactly one of params or rescaled")
-    if rescaled is not None:
-        params = unrescale(rescaled, lam=lam)
-    return _point_row(params, max_order, exact, quad, exact_tol, qspec)
+    return _point_row(_physical(params, rescaled, lam), max_order, exact,
+                      quad, exact_tol, qspec)
 
 
 def run_sweep(base: ModelParams, var: str, start: float, stop: float,
@@ -256,17 +258,14 @@ def run_sweep(base: ModelParams, var: str, start: float, stop: float,
         grid = np.geomspace(start, stop, points)
     else:
         grid = np.linspace(start, stop, points)
+    field = {"mass": "m", "temp": "beta"}.get(var, var)
     rows = []
-    for value in grid:
-        value = float(value)
+    for value in map(float, grid):
         if var == "temp":
             if value <= 0.0:
                 raise ValidationError(f"temp must be positive, got {value}")
-            p = replace(base, beta=1.0 / value)
-        elif var == "mass":
-            p = replace(base, m=value)
-        else:
-            p = replace(base, **{var: value})
+            value = 1.0 / value
+        p = replace(base, **{field: value})
         rows.append(_point_row(p, max_order, exact, quad, exact_tol, qspec))
     return rows
 
@@ -279,19 +278,14 @@ def run_table1(*, exact: bool = False, exact_tol: float = 1e-9) -> list[ResultRo
     the independently published high-precision value ``ref_accu``).  With
     ``exact=True`` the diagonalization oracle is run per row as well.
     """
-    rows = []
-    for ref in TABLE1:
-        params = unrescale(RescaledParams(TABLE1_Z, ref.t_reduced), lam=1.0)
-        fe = series_eval(params, max_order=4)
-        kw = _coords(params)
-        kw.update(omega_big=fe.omega_big, f0=fe.f0, f2=fe.f2, f3=fe.f3,
-                  f4=fe.f4, ref_f0=ref.f0.value, ref_f2=ref.f2.value,
-                  ref_f3=ref.f3.value, ref_f4=ref.f4.value,
-                  ref_accu=ref.f_accu.value)
-        if exact:
-            _merge_status(kw, _exact_fields(params, exact_tol))
-        rows.append(ResultRow(**kw))
-    return rows
+    return [
+        _point_row(unrescale(RescaledParams(TABLE1_Z, ref.t_reduced), lam=1.0),
+                   4, exact, False, exact_tol, None,
+                   ref_f0=ref.f0.value, ref_f2=ref.f2.value,
+                   ref_f3=ref.f3.value, ref_f4=ref.f4.value,
+                   ref_accu=ref.f_accu.value)
+        for ref in TABLE1
+    ]
 
 
 def run_table2(*, exact: bool = False, exact_tol: float = 1e-9) -> list[ResultRow]:
@@ -303,20 +297,15 @@ def run_table2(*, exact: bool = False, exact_tol: float = 1e-9) -> list[ResultRo
     ``ref_f3_cumulant``) are quoted as literature constants; with
     ``exact=True`` this package's own diagonalization value is added.
     """
-    rows = []
-    for ref in TABLE2:
-        params = ModelParams(m=1.0, omega=1.0, lam=ref.lam, beta=ref.beta)
-        fe = series_eval(params, max_order=3)
-        kw = _coords(params)
-        kw.update(omega_big=fe.omega_big, f0=fe.f0, f2=fe.f2, f3=fe.f3,
-                  ref_f0=ref.f0.value, ref_f2=ref.f2.value,
-                  ref_f3=ref.f3.value, ref_exact=ref.f_exact.value,
-                  ref_f1_cumulant=ref.f1_cumulant.value,
-                  ref_f3_cumulant=ref.f3_cumulant.value)
-        if exact:
-            _merge_status(kw, _exact_fields(params, exact_tol))
-        rows.append(ResultRow(**kw))
-    return rows
+    return [
+        _point_row(ModelParams(m=1.0, omega=1.0, lam=ref.lam, beta=ref.beta),
+                   3, exact, False, exact_tol, None,
+                   ref_f0=ref.f0.value, ref_f2=ref.f2.value,
+                   ref_f3=ref.f3.value, ref_exact=ref.f_exact.value,
+                   ref_f1_cumulant=ref.f1_cumulant.value,
+                   ref_f3_cumulant=ref.f3_cumulant.value)
+        for ref in TABLE2
+    ]
 
 
 def run_figure(which: str, grid_resolution: int | None = None, *,
@@ -340,34 +329,18 @@ def run_figure(which: str, grid_resolution: int | None = None, *,
     if n < 2:
         raise ValidationError(f"grid resolution must be >= 2, got {n}")
 
-    rows = []
     if which == "fig1":
-        for temp in np.linspace(0.05, 1.0, n):
-            params = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / float(temp))
-            fe = series_eval(params, max_order=4)
-            kw = _coords(params)
-            kw.update(omega_big=fe.omega_big, f0=fe.f0, f2=fe.f2, f3=fe.f3,
-                      f4=fe.f4)
-            _merge_status(kw, _exact_fields(params, exact_tol))
-            rows.append(ResultRow(**kw))
+        grid = [ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / float(temp))
+                for temp in np.linspace(0.05, 1.0, n)]
     elif which == "fig2":
-        for z in FIGURE_Z_VALUES:
-            for t_red in np.linspace(1.0, 50.0, n):
-                params = unrescale(RescaledParams(z, float(t_red)), lam=1.0)
-                fe = series_eval(params, max_order=4)
-                kw = _coords(params)
-                kw.update(omega_big=fe.omega_big, f0=fe.f0, f4=fe.f4)
-                rows.append(ResultRow(**kw))
+        grid = [unrescale(RescaledParams(z, float(t_red)), lam=1.0)
+                for z in FIGURE_Z_VALUES for t_red in np.linspace(1.0, 50.0, n)]
     else:
-        for beta in np.geomspace(0.25, 20.0, n):
-            params = ModelParams(m=1.0, omega=0.0, lam=1.0, beta=float(beta))
-            fe = series_eval(params, max_order=4)
-            kw = _coords(params)
-            kw.update(omega_big=fe.omega_big, f0=fe.f0, f2=fe.f2, f3=fe.f3,
-                      f4=fe.f4)
-            _merge_status(kw, _exact_fields(params, exact_tol))
-            rows.append(ResultRow(**kw))
-    return rows
+        grid = [ModelParams(m=1.0, omega=0.0, lam=1.0, beta=float(beta))
+                for beta in np.geomspace(0.25, 20.0, n)]
+    fixed = {"f2": None, "f3": None} if which == "fig2" else {}
+    return [_point_row(params, 4, which != "fig2", False, exact_tol, None, **fixed)
+            for params in grid]
 
 
 def run_oracle_check(params: ModelParams | None = None,
@@ -383,45 +356,28 @@ def run_oracle_check(params: ModelParams | None = None,
     ``tol=None`` uses the per-order defaults in :data:`ORACLE_CHECK_TOL`;
     an explicit value applies to every order.
     """
-    if (params is None) == (rescaled is None):
-        raise ValidationError("give exactly one of params or rescaled")
-    if rescaled is not None:
-        params = unrescale(rescaled, lam=lam)
+    params = _physical(params, rescaled, lam)
     if max_order not in VALID_ORDERS or max_order < 2:
         raise ValidationError(
             f"oracle check needs max_order in {{2, 3, 4}}, got {max_order}"
         )
     if tol is not None and tol <= 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
-    fe = series_eval(params, max_order=0)
-    closed_by_order = {2: c2_closed, 3: c3_closed, 4: c4_closed}
+    fe = series_eval(params, max_order=max_order)
     rows = []
-    for order in (2, 3, 4):
-        if order > max_order:
-            break
-        closed = closed_by_order[order](params, fe.omega_big)
+    for order in range(2, max_order + 1):
+        closed = getattr(fe, f"c{order}")
         kw = _coords(params)
         kw.update(order=order, omega_big=fe.omega_big, closed=closed)
+        with _degrade_on_convergence_error(kw, "quadrature", "quad"):
+            kw["quad"] = quad_correction(params, fe.omega_big, order, qspec=qspec)
+        if "quad" in kw:
+            kw["rel_err"] = abs(kw["quad"] - closed) / abs(closed)
         order_tol = ORACLE_CHECK_TOL[order] if tol is None else tol
-        try:
-            quad = quad_correction(params, fe.omega_big, order, qspec=qspec)
-        except ConvergenceError as exc:
-            extra = {"status": STATUS_DEGRADED,
-                     "note": f"quadrature: {exc}"}
-            if exc.value is not None and math.isfinite(exc.value):
-                extra["quad"] = float(exc.value)
-                extra["rel_err"] = abs(extra["quad"] - closed) / abs(closed)
-            _merge_status(kw, extra)
-            rows.append(ResultRow(**kw))
-            continue
-        rel_err = abs(quad - closed) / abs(closed)
-        kw.update(quad=quad, rel_err=rel_err)
-        if rel_err > order_tol:
-            _merge_status(kw, {
-                "status": STATUS_DEGRADED,
-                "note": (f"order-{order} gap {rel_err:.3e} exceeds "
-                         f"tolerance {order_tol:.3e}"),
-            })
+        # the gap is judged only for a converged quadrature
+        if "status" not in kw and kw["rel_err"] > order_tol:
+            _degrade(kw, f"order-{order} gap {kw['rel_err']:.3e} exceeds "
+                         f"tolerance {order_tol:.3e}")
         rows.append(ResultRow(**kw))
     return rows
 

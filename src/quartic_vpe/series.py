@@ -158,14 +158,16 @@ def c4_closed(params: ModelParams, omega_big: float) -> float:
 
     The raw expression carries an extra 1/beta relative to the lower
     orders; combining it with R_4 (which grows linearly in x at low
-    temperature) leaves a finite zero-temperature limit.
+    temperature) leaves a finite zero-temperature limit.  In the
+    asymptotic regime R_4(x)/x is the constant 202496, used directly
+    because 202496 x overflows for x above about 9e302.
     """
     _check_omega(omega_big)
     lam, m = params.lam, params.m
     x = params.beta * omega_big
     with _in_double_range("c4", x):
         pref = -3.0 * lam**4 / (32768.0 * m**8 * omega_big**11)
-        return pref * (_factor_4(x) / x)
+        return pref * (202496.0 if x > X_ASYMPTOTIC else _factor_4(x) / x)
 
 
 _CORRECTIONS = {2: c2_closed, 3: c3_closed, 4: c4_closed}

@@ -67,9 +67,28 @@ def _x_over_sinh(x: float) -> float:
     return x * (2.0 * q) / -math.expm1(-2.0 * x) if q > 0.0 else 0.0
 
 
+def _representable(params: ModelParams, omega_big: float | None = None) -> float:
+    """a = 6 lambda/m^2, once the point is representable in double precision.
+
+    Raises ValidationError unless a is a normal double and omega^2 (and
+    Omega^2, when given) is finite.
+    """
+    m2 = params.m * params.m
+    a = 6.0 * params.lam / m2 if m2 > 0.0 else math.inf
+    top = params.omega if omega_big is None else max(params.omega, omega_big)
+    if not (sys.float_info.min <= a < math.inf and math.isfinite(top * top)):
+        trial = "" if omega_big is None else f", Omega = {omega_big!r}"
+        raise ValidationError(
+            "point is not representable in double precision: "
+            f"6 lambda/m^2 = {a!r}, omega = {params.omega!r}{trial}"
+        )
+    return a
+
+
 def fbar(params: ModelParams, omega_big: float) -> float:
     """Trial free energy Fbar(Omega) for any Omega > 0 (not only at the root)."""
     g = Propagator(params.m, omega_big, params.beta).equal_time()
+    _representable(params, omega_big)
     return (
         harmonic_free_energy(params.m, omega_big, params.beta)
         + 0.5 * params.m * (params.omega**2 - omega_big**2) * g
@@ -90,6 +109,7 @@ def dfbar_domega2(params: ModelParams, omega_big: float) -> float:
     bracket is -(m/2) r(Omega), so the stationary point is the gap root.
     """
     g = Propagator(params.m, omega_big, params.beta).equal_time()
+    _representable(params, omega_big)
     dg = -g / omega_big * (1.0 + _x_over_sinh(params.beta * omega_big))
     bracket = 0.5 * params.m * (params.omega**2 - omega_big**2) + 6.0 * params.lam * g
     return dg / (2.0 * omega_big) * bracket
@@ -123,14 +143,7 @@ def _solve(params: ModelParams) -> tuple[float, float, int]:
     concave, so Newton from L climbs monotonically; a step that leaves the
     bracket is replaced by bisection.
     """
-    m2 = params.m * params.m
-    a = 6.0 * params.lam / m2 if m2 > 0.0 else math.inf
-    if not (sys.float_info.min <= a < math.inf
-            and math.isfinite(params.omega * params.omega)):
-        raise ValidationError(
-            "gap equation is not representable in double precision: "
-            f"6 lambda/m^2 = {a!r}, omega = {params.omega!r}"
-        )
+    a = _representable(params)
     lo = max(params.omega, a ** (1.0 / 3.0), 2.0**0.25 * a**0.25 / params.beta**0.25)
     hi = math.sqrt(3.0) * lo
     evals = 0

@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from quartic_vpe import runs, spectrum
 from quartic_vpe.cli import main
 from quartic_vpe.core import ModelParams, RescaledParams, unrescale
-from quartic_vpe.errors import ValidationError
+from quartic_vpe.errors import ConvergenceError, ValidationError
 from quartic_vpe.literature import TABLE1, TABLE2
 from quartic_vpe.runs import (
     STATUS_DEGRADED,
@@ -65,6 +66,60 @@ class TestResultRow:
         with pytest.raises(ValidationError):
             ResultRow(lam=1.0, omega=1.0, mass=2.0, beta=1.0, temp=1.0,
                       z=0.5, t_reduced=1.0)
+
+    def test_reduced_coordinates_filled_for_unit_mass(self):
+        row = ResultRow(lam=1.0, omega=math.sqrt(20.0), mass=1.0, beta=1.0)
+        assert (row.z, row.t_reduced) == pytest.approx((10.0, 1.0))
+        assert ResultRow(lam=1.0, omega=1.0, mass=2.0, beta=1.0).z is None
+        assert ResultRow(lam=1.0, omega=1.0, mass=1.0).z is None
+
+
+class TestOneRowPipeline:
+    """Every driver degrades the same way, and each row solves the gap once."""
+
+    PARAMS = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
+
+    def test_gap_failure_degrades_table_and_figure_rows(self, monkeypatch):
+        def stalled(params, max_order=4):
+            raise ConvergenceError("stalled", value=1.0, bound=0.5)
+
+        monkeypatch.setattr(runs, "series_eval", stalled)
+        for rows in (run_table1(), run_table2(exact=True),
+                     run_figure("fig1", 2), run_figure("fig2", 2),
+                     run_figure("fig3", 2)):
+            assert rows and exit_code_for(rows) == 2
+            for row in rows:
+                assert row.status == STATUS_DEGRADED
+                assert row.note == "gap equation: stalled"
+                assert row.f0 is None and row.exact is None
+        assert run_table1()[0].ref_f0 == TABLE1[0].f0.value
+        assert run_table2()[0].ref_exact == TABLE2[0].f_exact.value
+
+    def test_exact_oracle_reuses_the_row_gap_solve(self, monkeypatch):
+        def resolve(params):
+            raise ConvergenceError("the exact oracle solved the gap again")
+
+        expected = spectrum.exact_free_energy(self.PARAMS)
+        monkeypatch.setattr(spectrum, "solve_gap", resolve)
+        row = run_point(self.PARAMS, exact=True)
+        assert row.status == STATUS_OK
+        assert row.exact == expected
+
+    def test_quadrature_failure_keeps_partial_value(self, monkeypatch):
+        def unconverged(params, omega_big, order, qspec=None):
+            raise ConvergenceError("not converged", value=-0.01, bound=1e-3)
+
+        monkeypatch.setattr(runs, "quad_correction", unconverged)
+        row = run_point(self.PARAMS, max_order=3, quad=True)
+        assert row.status == STATUS_DEGRADED
+        assert (row.quad2, row.quad3, row.quad4) == (-0.01, -0.01, None)
+        assert row.note == ("order-2 quadrature: not converged; "
+                            "order-3 quadrature: not converged")
+        (check,) = run_oracle_check(self.PARAMS, max_order=2)
+        assert check.status == STATUS_DEGRADED
+        assert check.note == "quadrature: not converged"
+        assert check.quad == -0.01
+        assert check.rel_err == abs(-0.01 - check.closed) / abs(check.closed)
 
 
 class TestRunTable1:
@@ -361,6 +416,14 @@ class TestCli:
         assert code == 2
         records = csv_records(capsys.readouterr().out)
         assert records[0]["status"] == "degraded"
+
+    def test_c4_finite_at_beta_omega_1e303(self, capsys):
+        # 202496 x overflows here; R_4(x)/x = 202496 does not
+        argv = ["point", "--mass", "1e3", "--omega", "1e3", "--lambda",
+                "1e-12", "--beta", "1e300", "--format", "json"]
+        assert main(argv) == 0
+        (obj,) = json.loads(capsys.readouterr().out)
+        assert math.isfinite(obj["f4"])
 
     def test_figure_data_series(self, capsys):
         assert main(["fig2", "--points", "2"]) == 0

@@ -178,6 +178,11 @@ class TestClosedCorrections:
             assert c4_closed(p, w) == pytest.approx(
                 -(2373.0 / 128.0) * lam**4 / (m**8 * w**11), rel=1e-10
             )
+        # beta*Omega = 1e303, where 202496 * beta*Omega overflows
+        p = ModelParams(m=1e3, omega=1e3, lam=1e-12, beta=1e300)
+        assert c4_closed(p, 1e3) == pytest.approx(
+            -(2373.0 / 128.0) * 1e-48 / (1e24 * 1e33), rel=1e-14, abs=0.0
+        )
 
     def test_finite_at_extreme_beta_omega(self):
         # partial sums stay finite up to beta*Omega ~ 1e4

@@ -110,6 +110,15 @@ class TestTrialFunctional:
         assert fbar(mp, 1e-3) > 10.0 * abs(root.f0)
         assert fbar(mp, 1e3) > 10.0 * abs(root.f0)
 
+    def test_unrepresentable_frequency_rejected(self):
+        # omega^2 or Omega^2 overflows: a ValidationError, not an OverflowError
+        for mp, om in ((ModelParams(1.0, 1e200, 1.0, 1.0), 2e200),
+                       (ModelParams(1.0, 1.0, 1.0, 1.0), 1e200)):
+            with pytest.raises(ValidationError):
+                fbar(mp, om)
+            with pytest.raises(ValidationError):
+                dfbar_domega2(mp, om)
+
 
 class TestF0:
     def test_zero_temperature_value(self):
@@ -150,12 +159,13 @@ GRID = [
         (1e-3, 1.0, 1e3), (0.0, 1.0, 1e3), (1e-12, 1.0, 1e8), range(-12, 13)
     )
 ]
-# beta*Omega ~ 2e-300, 3e-301, 1e300 and 2e300
+# beta*Omega ~ 2e-300, 3e-301, 1e300, 2e300 and 1e303
 EXTREMES = [
     ModelParams(m=1.0, omega=0.0, lam=1e-300, beta=1e-300),
     ModelParams(m=1.0, omega=0.0, lam=1e-300, beta=1e-301),
     ModelParams(m=1.0, omega=1.0, lam=1e-12, beta=1e300),
     ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e300),
+    ModelParams(m=1e3, omega=1e3, lam=1e-12, beta=1e300),
 ]
 
 
@@ -182,8 +192,11 @@ class TestRangeSweep:
             xs.append(p.beta * s.omega_big)
             for closed, sign in CORRECTIONS:
                 value = finite_or_none(closed, p, s.omega_big)
+                # only the high-temperature poles leave double range
+                if xs[-1] > 1.0:
+                    assert value is not None, (p, closed.__name__)
                 assert value is None or sign * value > 0.0, (p, closed.__name__)
-        assert min(xs) < 1e-299 and max(xs) > 1e300
+        assert min(xs) < 1e-299 and max(xs) >= 1e303
 
     def test_corrections_finite_down_to_their_floor(self):
         # the 1/x^k high-temperature poles take c2, c3, c4 out of double
