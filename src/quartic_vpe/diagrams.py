@@ -14,20 +14,22 @@ same integrand -- an ordering and its mirror under tau -> beta - tau,
 or orderings with identical edge lists -- are integrated once and
 weighted by their multiplicity.  Each simplex is mapped to the unit
 cube by stick-breaking and integrated with a panel-based Gauss-Legendre
-rule.  An embedded rule with half as many nodes on the same panels
-estimates the error, as the Gauss-Kronrod pairs of QUADPACK do
-(Piessens et al., 1983), though the nodes here are not nested.  The
-panels are halved only while the two rules disagree by more than the
-tolerance, and the reported bound is their difference at the last
-level.  At low temperature the propagator localizes the integrand near
-the corners, so the panels are graded geometrically toward both ends of
-every axis.
+rule.  The rule is chosen by an embedded error estimate, p before h as
+in QUADPACK (Piessens et al., 1983; Trefethen, *Approximation Theory and
+Approximation Practice*, ch. 19): each panel layout runs a nested ladder
+of 8, 16 and then 32 nodes per panel, each rung's rule being the embedded
+error rule of the next, and the first rung where the two agree to the
+tolerance is accepted.  The panels are halved only when the 16/32 rung
+fails too.  At low temperature the propagator localizes the integrand
+near the corners, so the panels are graded geometrically toward both ends
+of every axis.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,43 +160,40 @@ def builtin_diagrams() -> list[DiagramSpec]:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Panel/node layout and refinement policy for the simplex rule."""
+    """Refinement policy of the simplex rule: tolerance and panel halvings."""
 
-    nodes_per_panel: int = 32
-    panels_per_dim: int = 4
     rel_tol: float = 1e-9
     max_refinements: int = 3
-    grading_threshold: float = 24.0
-    chunk_nodes: int = 16
 
     def __post_init__(self) -> None:
-        # the embedded error rule gets half the nodes; with fewer than three
-        # it can agree with the full rule by accident (see _refined_integrals)
-        if self.nodes_per_panel < 6:
-            raise ValidationError("nodes_per_panel must be >= 6")
-        if self.panels_per_dim < 1:
-            raise ValidationError("panels_per_dim must be >= 1")
         if not (self.rel_tol > 0.0):
             raise ValidationError("rel_tol must be positive")
         if self.max_refinements < 1:
             raise ValidationError("max_refinements must be >= 1")
-        if self.chunk_nodes < 1:
-            raise ValidationError("chunk_nodes must be >= 1")
 
 
-def _panel_edges(x: float, qspec: QuadratureSpec, level: int) -> np.ndarray:
+# Gauss-Legendre nodes per panel; each rule is the embedded rule of the next
+LADDER = (8, 16, 32)
+PANELS_PER_DIM = 4
+# beyond this beta*Omega the panels are graded toward both axis ends
+GRADING_THRESHOLD = 24.0
+# axis-0 nodes evaluated per product-grid chunk (bounds the working memory)
+CHUNK_NODES = 16
+
+
+def _panel_edges(x: float, level: int) -> np.ndarray:
     """Panel boundaries in r-space [0, 1], halved ``level`` times.
 
     Beyond the grading threshold the propagator decay length 1/x (in
     units of the axis) is resolved with geometrically shrinking panels
     at both ends of the axis.
     """
-    if x <= qspec.grading_threshold:
-        edges = np.linspace(0.0, 1.0, qspec.panels_per_dim + 1)
+    if x <= GRADING_THRESHOLD:
+        edges = np.linspace(0.0, 1.0, PANELS_PER_DIM + 1)
     else:
         deepest = min(42, max(2, int(math.ceil(math.log2(x)))))
         left = [0.0] + [2.0 ** (-j) for j in range(deepest, 0, -1)]
-        edges = np.array(left[:-1] + [1.0 - e for e in reversed(left[:-1])] + [1.0])
+        edges = np.array(left[:-1] + [1.0 - e for e in reversed(left[:-1])])
     for _ in range(level):
         mids = 0.5 * (edges[1:] + edges[:-1])
         edges = np.sort(np.concatenate([edges, mids]))
@@ -266,7 +265,6 @@ def _integrate_level(
     dim: int,
     nodes: np.ndarray,
     weights: np.ndarray,
-    chunk_nodes: int,
     mode: str,
 ) -> np.ndarray:
     """Raw simplex integrals for same-order diagrams on one product grid."""
@@ -277,7 +275,7 @@ def _integrate_level(
         needed_pairs |= needed
 
     totals = np.zeros(len(per_diagram))
-    chunk = chunk_nodes if dim > 1 else n_nodes
+    chunk = CHUNK_NODES if dim > 1 else n_nodes
     for start in range(0, n_nodes, chunk):
         stop = min(start + chunk, n_nodes)
         positions: list[np.ndarray | float] = [0.0]
@@ -322,45 +320,71 @@ def _integrate_level(
     return totals
 
 
+def _rungs(
+    params: ModelParams,
+    omega_big: float,
+    diagrams: list[DiagramSpec],
+    mode: str,
+    max_refinements: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(values, |values - embedded|) of each rung of ``LADDER``, then again
+    on panels halved up to ``max_refinements`` times."""
+    propagator = Propagator(params.m, omega_big, params.beta)
+    per_diagram = [_slot_orderings(d, mode) for d in diagrams]
+    dim = diagrams[0].order - 1
+    for level in range(max_refinements + 1):
+        edges = _panel_edges(params.beta * omega_big, level)
+        embedded = None
+        for nodes_per_panel in LADDER:
+            values = _integrate_level(
+                propagator, per_diagram, dim,
+                *_nodes_and_weights(edges, nodes_per_panel), mode,
+            )
+            if embedded is not None:
+                yield values, np.abs(values - embedded)
+            embedded = values
+
+
 def _refined_integrals(
     params: ModelParams,
     omega_big: float,
     diagrams: list[DiagramSpec],
-    qspec: QuadratureSpec,
+    coeffs: np.ndarray,
+    qspec: QuadratureSpec | None,
     mode: str,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Integrate on panels halved level by level until the error estimate passes.
+    what: str,
+) -> float:
+    """Sum of ``coeffs`` times the diagrams' simplex integrals.
 
-    At each level the ``nodes_per_panel`` Gauss-Legendre rule and an
-    embedded rule with half as many nodes (at least three) run on the same
-    panel edges.  Refinement stops at the first level where every
-    diagram's |full - embedded| is at most ``rel_tol`` times |full|.
-    Returns (values, bounds, converged flag): the full rule's values and
-    |full - embedded| at the last level evaluated.  Once the embedded
-    rule resolves the integrand its error dominates the difference, which
-    then over-estimates the error of the value returned.  An embedded rule
-    of one or two nodes on panels wider than the decay length
-    1/(beta Omega) could agree with the full rule by accident and
-    under-estimate it; ``QuadratureSpec`` rules that out.
+    Accepts the first rung of ``_rungs`` where every diagram's
+    |full - embedded| is at most ``rel_tol`` times |full|; else raises
+    ConvergenceError with the last rung's value and bound
+    sum(|coeffs| * |full - embedded|).  Once the embedded rule resolves the
+    integrand, the difference over-estimates the error of the value
+    returned; an embedded rule of one or two nodes on panels wider than the
+    decay length 1/(beta Omega) could agree with the full rule by accident,
+    so the ladder starts at 8.  One BLAS thread on a 2-core VM, m = omega =
+    lambda = 1: order 4 costs 0.03-0.06 s at beta*Omega <= 4 (the 8/16 rung
+    passes) and about 0.3 s at 6-20 (the 16/32 rung passes; the extra
+    8-node rule adds (8/32)^3 = 1.6%), on graded panels 0.9 s at
+    beta*Omega = 40 and 1.4 s at 100; orders 2 and 3 take a few ms.
     """
-    propagator = Propagator(params.m, omega_big, params.beta)
-    per_diagram = [_slot_orderings(d, mode) for d in diagrams]
-    dim = diagrams[0].order - 1
-    embedded_nodes = qspec.nodes_per_panel // 2
-    for level in range(qspec.max_refinements + 1):
-        edges = _panel_edges(params.beta * omega_big, qspec, level)
-        values, embedded = (
-            _integrate_level(
-                propagator, per_diagram, dim,
-                *_nodes_and_weights(edges, nodes_per_panel),
-                qspec.chunk_nodes, mode,
-            )
-            for nodes_per_panel in (qspec.nodes_per_panel, embedded_nodes)
+    if not (omega_big > 0.0) or not math.isfinite(omega_big):
+        raise ValidationError(
+            f"trial frequency must be positive and finite, got {omega_big}"
         )
-        bounds = np.abs(values - embedded)
+    if qspec is None:
+        qspec = QuadratureSpec()
+    for values, bounds in _rungs(params, omega_big, diagrams, mode,
+                                 qspec.max_refinements):
         if np.all(bounds <= qspec.rel_tol * np.abs(values)):
-            return values, bounds, True
-    return values, bounds, False
+            return float(np.sum(coeffs * values))
+    raise ConvergenceError(
+        f"{what} did not stabilize to rel_tol={qspec.rel_tol} "
+        f"within {qspec.max_refinements} refinements",
+        value=float(np.sum(coeffs * values)),
+        bound=float(np.sum(np.abs(coeffs) * bounds)),
+    )
 
 
 def quad_diagram(
@@ -379,30 +403,14 @@ def quad_diagram(
     factor) instead of using translation invariance; the two modes
     agreeing is a consistency check of the circle geometry.
     """
-    if qspec is None:
-        qspec = QuadratureSpec()
     if mode not in ("reduced", "full"):
         raise ValidationError(f"mode must be 'reduced' or 'full', got {mode}")
-    if not (omega_big > 0.0) or not math.isfinite(omega_big):
-        raise ValidationError(
-            f"trial frequency must be positive and finite, got {omega_big}"
-        )
     n = diagram.order
     prefactor = diagram.sign * params.lam**n / math.factorial(n) * diagram.symmetry_factor
     if mode == "full":
         prefactor /= params.beta
-
-    values, bounds, converged = _refined_integrals(
-        params, omega_big, [diagram], qspec, mode
-    )
-    if not converged:
-        raise ConvergenceError(
-            f"quadrature for diagram {diagram.label} did not stabilize to "
-            f"rel_tol={qspec.rel_tol} within {qspec.max_refinements} refinements",
-            value=prefactor * values[0],
-            bound=abs(prefactor) * bounds[0],
-        )
-    return prefactor * values[0]
+    return _refined_integrals(params, omega_big, [diagram], np.array([prefactor]),
+                              qspec, mode, f"quadrature for diagram {diagram.label}")
 
 
 def quad_correction(
@@ -414,27 +422,12 @@ def quad_correction(
     """Sum of all built-in diagrams of one order (the oracle for c_n).
 
     Same-order diagrams share one quadrature grid and one set of
-    propagator evaluations per refinement level.
+    propagator evaluations per rung.
     """
-    if qspec is None:
-        qspec = QuadratureSpec()
     chosen = [d for d in builtin_diagrams() if d.order == order]
     if not chosen:
         raise ValidationError(f"no built-in diagrams of order {order}")
-    if not (omega_big > 0.0) or not math.isfinite(omega_big):
-        raise ValidationError(
-            f"trial frequency must be positive and finite, got {omega_big}"
-        )
     base = chosen[0].sign * params.lam**order / math.factorial(order)
-    values, bounds, converged = _refined_integrals(
-        params, omega_big, chosen, qspec, "reduced"
-    )
-    contributions = base * np.array([d.symmetry_factor for d in chosen]) * values
-    if not converged:
-        raise ConvergenceError(
-            f"order-{order} quadrature did not stabilize to "
-            f"rel_tol={qspec.rel_tol} within {qspec.max_refinements} refinements",
-            value=float(np.sum(contributions)),
-            bound=float(abs(base) * np.sum(np.array([d.symmetry_factor for d in chosen]) * bounds)),
-        )
-    return float(np.sum(contributions))
+    coeffs = base * np.array([d.symmetry_factor for d in chosen])
+    return _refined_integrals(params, omega_big, chosen, coeffs, qspec,
+                              "reduced", f"order-{order} quadrature")

@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import ModelParams, RescaledParams, rescale, unrescale
-from .diagrams import QuadratureSpec, quad_correction
+from .diagrams import quad_correction
 from .errors import ConvergenceError, ValidationError
 from .literature import TABLE1, TABLE1_Z, TABLE2
 from .series import VALID_ORDERS, series_eval
@@ -189,8 +189,7 @@ def _degrade_on_convergence_error(kw: dict, what: str, value_field: str,
 
 
 def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
-               exact_tol: float, qspec: QuadratureSpec | None,
-               **fixed) -> ResultRow:
+               exact_tol: float, **fixed) -> ResultRow:
     """The series row of one point, with the requested oracles.
 
     ``fixed`` holds columns the caller sets outright; they override the
@@ -213,7 +212,7 @@ def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
         for order in range(2, max_order + 1):
             field = f"quad{order}"
             with _degrade_on_convergence_error(kw, f"order-{order} quadrature", field):
-                kw[field] = quad_correction(params, fe.omega_big, order, qspec=qspec)
+                kw[field] = quad_correction(params, fe.omega_big, order)
     return ResultRow(**kw)
 
 
@@ -229,21 +228,19 @@ def run_point(params: ModelParams | None = None,
               rescaled: RescaledParams | None = None, *,
               lam: float = 1.0, max_order: int = 4,
               exact: bool = False, quad: bool = False,
-              exact_tol: float = 1e-9,
-              qspec: QuadratureSpec | None = None) -> ResultRow:
+              exact_tol: float = 1e-9) -> ResultRow:
     """Evaluate one parameter point, optionally with either oracle.
 
     Exactly one of ``params`` (physical) or ``rescaled`` (reduced; realized
     at coupling ``lam`` with mass 1) must be given.
     """
     return _point_row(_physical(params, rescaled, lam), max_order, exact,
-                      quad, exact_tol, qspec)
+                      quad, exact_tol)
 
 
 def run_sweep(base: ModelParams, var: str, start: float, stop: float,
               points: int, *, max_order: int = 4, exact: bool = False,
               quad: bool = False, exact_tol: float = 1e-9,
-              qspec: QuadratureSpec | None = None,
               log_spacing: bool = False) -> list[ResultRow]:
     """Sweep one physical variable over [start, stop] with the rest fixed."""
     if var not in SWEEP_VARIABLES:
@@ -266,7 +263,7 @@ def run_sweep(base: ModelParams, var: str, start: float, stop: float,
                 raise ValidationError(f"temp must be positive, got {value}")
             value = 1.0 / value
         p = replace(base, **{field: value})
-        rows.append(_point_row(p, max_order, exact, quad, exact_tol, qspec))
+        rows.append(_point_row(p, max_order, exact, quad, exact_tol))
     return rows
 
 
@@ -280,7 +277,7 @@ def run_table1(*, exact: bool = False, exact_tol: float = 1e-9) -> list[ResultRo
     """
     return [
         _point_row(unrescale(RescaledParams(TABLE1_Z, ref.t_reduced), lam=1.0),
-                   4, exact, False, exact_tol, None,
+                   4, exact, False, exact_tol,
                    ref_f0=ref.f0.value, ref_f2=ref.f2.value,
                    ref_f3=ref.f3.value, ref_f4=ref.f4.value,
                    ref_accu=ref.f_accu.value)
@@ -299,7 +296,7 @@ def run_table2(*, exact: bool = False, exact_tol: float = 1e-9) -> list[ResultRo
     """
     return [
         _point_row(ModelParams(m=1.0, omega=1.0, lam=ref.lam, beta=ref.beta),
-                   3, exact, False, exact_tol, None,
+                   3, exact, False, exact_tol,
                    ref_f0=ref.f0.value, ref_f2=ref.f2.value,
                    ref_f3=ref.f3.value, ref_exact=ref.f_exact.value,
                    ref_f1_cumulant=ref.f1_cumulant.value,
@@ -339,15 +336,14 @@ def run_figure(which: str, grid_resolution: int | None = None, *,
         grid = [ModelParams(m=1.0, omega=0.0, lam=1.0, beta=float(beta))
                 for beta in np.geomspace(0.25, 20.0, n)]
     fixed = {"f2": None, "f3": None} if which == "fig2" else {}
-    return [_point_row(params, 4, which != "fig2", False, exact_tol, None, **fixed)
+    return [_point_row(params, 4, which != "fig2", False, exact_tol, **fixed)
             for params in grid]
 
 
 def run_oracle_check(params: ModelParams | None = None,
                      rescaled: RescaledParams | None = None, *,
                      lam: float = 1.0, max_order: int = 4,
-                     tol: float | None = None,
-                     qspec: QuadratureSpec | None = None) -> list[ResultRow]:
+                     tol: float | None = None) -> list[ResultRow]:
     """Compare each closed-form correction with its quadrature value.
 
     One row per order in {2, 3, 4} up to ``max_order``, carrying the
@@ -370,7 +366,7 @@ def run_oracle_check(params: ModelParams | None = None,
         kw = _coords(params)
         kw.update(order=order, omega_big=fe.omega_big, closed=closed)
         with _degrade_on_convergence_error(kw, "quadrature", "quad"):
-            kw["quad"] = quad_correction(params, fe.omega_big, order, qspec=qspec)
+            kw["quad"] = quad_correction(params, fe.omega_big, order)
         if "quad" in kw:
             kw["rel_err"] = abs(kw["quad"] - closed) / abs(closed)
         order_tol = ORACLE_CHECK_TOL[order] if tol is None else tol

@@ -127,9 +127,10 @@ def exact_free_energy(
 
     With ``full_output`` the achieved doubling step |Delta F| and the final
     basis size are returned alongside the value.  Raises ConvergenceError
-    (with the partial value and the last step size as the error bound) if the
-    cap is hit before |Delta F| < tol, or if the Boltzmann sum needs more
-    levels than the basis reliably converges.
+    with the partial value if the cap is hit before |Delta F| < tol.  Its
+    bound is the last doubling step; when the Boltzmann sum reaches more
+    levels than the basis converges, it is at least the free energy those
+    levels carry, T ln(Z / Z_converged), and the message names the tail.
     """
     if tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -138,7 +139,7 @@ def exact_free_energy(
     if nu is None:
         nu = solve_gap(params).omega_big
     n_basis = n_basis_start
-    f = math.nan
+    step = math.inf
     prev_f = None
     prev_eigs = None
     while n_basis <= n_basis_cap:
@@ -146,15 +147,21 @@ def exact_free_energy(
         f, n_kept = _boltzmann_free_energy(spec.eigenvalues, params.beta)
         # the Boltzmann sum must not reach into the unconverged top of the basis
         tail_ok = n_kept <= max(spec.converged_count, n_basis // 2)
-        if prev_f is not None and tail_ok and abs(f - prev_f) < tol:
-            if full_output:
-                return ExactResult(value=f, step=abs(f - prev_f), basis_size=n_basis)
-            return f
+        if prev_f is not None:
+            step = abs(f - prev_f)
+            if tail_ok and step < tol:
+                if full_output:
+                    return ExactResult(value=f, step=step, basis_size=n_basis)
+                return f
         prev_f, prev_eigs = f, spec.eigenvalues
         n_basis *= 2
-    bound = abs(f - prev_f) if prev_f is not None else math.inf
-    raise ConvergenceError(
-        f"exact free energy not stable to {tol:.1e} at basis cap {n_basis_cap}",
-        value=f,
-        bound=bound,
-    )
+    message = f"exact free energy not stable to {tol:.1e} at basis cap {n_basis_cap}"
+    bound = step
+    if not tail_ok:
+        # T ln(Z / Z_converged): the free energy the unconverged levels carry
+        weights = np.exp(-params.beta * (spec.eigenvalues[:n_kept] - spec.eigenvalues[0]))
+        z_converged = float(np.sum(weights[:spec.converged_count]))
+        tail = math.log(np.sum(weights) / z_converged) / params.beta if z_converged else math.inf
+        bound = max(step, tail)
+        message += ": the Boltzmann tail reaches unconverged levels"
+    raise ConvergenceError(message, value=f, bound=bound)

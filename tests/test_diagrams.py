@@ -9,6 +9,8 @@ from quartic_vpe.core import ModelParams
 from quartic_vpe.diagrams import (
     DiagramSpec,
     QuadratureSpec,
+    _panel_edges,
+    _rungs,
     _slot_orderings,
     builtin_diagrams,
     quad_correction,
@@ -51,6 +53,14 @@ def spectral_ring_value(p, omega_big, n_cut=5000):
     integral = float(np.sum(h**4)) / beta
     ring = next(d for d in builtin_diagrams() if d.label == "4a")
     return ring.sign * p.lam**4 / math.factorial(4) * ring.symmetry_factor * integral
+
+
+def point_at(x):
+    """The point at m = omega = lambda = 1 where beta * Omega equals x."""
+    p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=x / 2.0)
+    for _ in range(60):
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=x / solve_gap(p).omega_big)
+    return p
 
 
 class TestDiagramSpec:
@@ -119,17 +129,19 @@ class TestOrderingClasses:
 class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            QuadratureSpec(nodes_per_panel=1)
-        with pytest.raises(ValidationError):
-            QuadratureSpec(nodes_per_panel=5)
-        with pytest.raises(ValidationError):
-            QuadratureSpec(panels_per_dim=0)
-        with pytest.raises(ValidationError):
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValidationError):
             QuadratureSpec(max_refinements=0)
-        with pytest.raises(ValidationError):
-            QuadratureSpec(chunk_nodes=0)
+
+    def test_graded_edges_increasing_and_symmetric(self):
+        # 2 * ceil(log2 x) edges, i.e. no zero-width panel at r = 1
+        for x, n_edges in ((25.0, 10), (100.0, 14), (1e4, 28)):
+            for level in (0, 2):
+                edges = _panel_edges(x, level)
+                assert edges[0] == 0.0 and edges[-1] == 1.0
+                assert np.all(np.diff(edges) > 0.0)
+                np.testing.assert_allclose(edges, 1.0 - edges[::-1], rtol=0.0, atol=1e-15)
+                assert edges.size == (n_edges - 1) * 2**level + 1
 
 
 class TestOracleAgreement:
@@ -142,6 +154,19 @@ class TestOracleAgreement:
             assert quad_correction(p, w, 2) == pytest.approx(c2_closed(p, w), rel=1e-12)
             assert quad_correction(p, w, 3) == pytest.approx(c3_closed(p, w), rel=1e-12)
             assert quad_correction(p, w, 4) == pytest.approx(c4_closed(p, w), rel=1e-10)
+
+    def test_closed_forms_across_the_temperature_range(self):
+        # from high temperature through the uniform panels to the graded
+        # ones, whichever rung the ladder accepts reproduces the closed forms
+        for x in np.geomspace(0.3, 200.0, 12):
+            p = point_at(float(x))
+            w = solve_gap(p).omega_big
+            assert quad_correction(p, w, 2) == pytest.approx(c2_closed(p, w), rel=1e-13)
+            assert quad_correction(p, w, 3) == pytest.approx(c3_closed(p, w), rel=1e-13)
+        for x in (0.3, 2.0, 4.0, 15.0, 40.0):
+            p = point_at(x)
+            w = solve_gap(p).omega_big
+            assert quad_correction(p, w, 4) == pytest.approx(c4_closed(p, w), rel=1e-13)
 
     def test_ring_against_spectral_sum(self):
         p = ModelParams(m=1.1, omega=0.8, lam=1.7, beta=2.0)
@@ -185,11 +210,10 @@ class TestOracleAgreement:
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=200.0)
         w = solve_gap(p).omega_big
         scale = -3.0 * p.lam**4 / (32768.0 * p.m**8 * w**11)
-        light = QuadratureSpec(nodes_per_panel=10, rel_tol=1e-5, max_refinements=1)
         for d in builtin_diagrams():
             if d.order != 4:
                 continue
-            value = quad_diagram(p, w, d, qspec=light)
+            value = quad_diagram(p, w, d)
             assert value == pytest.approx(scale * ZERO_T_COEFF[d.label], rel=2e-5)
 
     def test_low_temperature_lower_orders(self):
@@ -205,32 +229,48 @@ class TestOracleAgreement:
 
 class TestFailureModes:
     def test_non_convergence_reports_estimate(self):
-        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
+        # a tolerance below round-off fails on every rung, so both entry
+        # points give up after one halving and report the last rung
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=10.0)
         w = solve_gap(p).omega_big
-        starved = QuadratureSpec(
-            nodes_per_panel=6, panels_per_dim=1, rel_tol=1e-15, max_refinements=1
-        )
-        ring = next(d for d in builtin_diagrams() if d.label == "4a")
-        with pytest.raises(ConvergenceError) as err:
-            quad_diagram(p, w, ring, qspec=starved)
-        assert err.value.value is not None
-        assert err.value.bound is not None and err.value.bound > 0.0
+        strict = QuadratureSpec(rel_tol=1e-17, max_refinements=1)
+        triangle = next(d for d in builtin_diagrams() if d.label == "3")
+        for what, call in (
+            ("quadrature for diagram 3", lambda: quad_diagram(p, w, triangle, qspec=strict)),
+            ("order-3 quadrature", lambda: quad_correction(p, w, 3, qspec=strict)),
+        ):
+            with pytest.raises(ConvergenceError) as err:
+                call()
+            assert str(err.value) == (
+                f"{what} did not stabilize to rel_tol=1e-17 within 1 refinements"
+            )
+            assert err.value.value == pytest.approx(c3_closed(p, w), rel=1e-13)
+            assert err.value.bound is not None and err.value.bound > 0.0
 
     def test_embedded_bound_covers_the_error(self):
-        # the full-vs-embedded difference carried by the error bounds the
-        # distance of the returned value from the closed form, from the
-        # uniform to the graded panel regime, at the smallest rule
-        # QuadratureSpec accepts
-        starved = QuadratureSpec(
-            nodes_per_panel=6, panels_per_dim=1, rel_tol=1e-15, max_refinements=1
-        )
-        for beta in (0.5, 2.0, 5.0, 20.0):
+        # every rung the ladder rejects carries a full-vs-embedded
+        # difference that bounds the distance of its value from the closed
+        # form; at beta*Omega = 10 and 20 the first rung (16 nodes, 8
+        # embedded) is rejected, and its bound covers its error there
+        rel_tol = QuadratureSpec().rel_tol
+        for beta in (0.5, 2.0, 5.0, 10.0):
             p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=beta)
             w = solve_gap(p).omega_big
             for order, closed in ((2, c2_closed), (3, c3_closed), (4, c4_closed)):
-                with pytest.raises(ConvergenceError) as err:
-                    quad_correction(p, w, order, qspec=starved)
-                assert abs(err.value.value - closed(p, w)) <= err.value.bound
+                chosen = [d for d in builtin_diagrams() if d.order == order]
+                coeffs = np.array([
+                    d.sign * p.lam**order / math.factorial(order) * d.symmetry_factor
+                    for d in chosen
+                ])
+                rejected = []
+                for values, bounds in _rungs(p, w, chosen, "reduced", 1):
+                    if np.all(bounds <= rel_tol * np.abs(values)):
+                        break
+                    rejected.append((coeffs @ values, np.abs(coeffs) @ bounds))
+                if beta in (5.0, 10.0):  # beta*Omega = 10 and 20
+                    assert len(rejected) == 1
+                for value, bound in rejected:
+                    assert abs(value - closed(p, w)) <= bound
 
     def test_argument_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)

@@ -14,11 +14,14 @@ After a deliberate output change, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which rewrites the ``.out`` files and fails if an exit code moved.
+which rewrites the ``.out`` files, prints every cell that moved (file,
+row, column, old value, new value) and fails if an exit code moved.
 """
 
 import contextlib
+import csv
 import io
+import json
 import re
 import sys
 from pathlib import Path
@@ -92,12 +95,38 @@ def test_output_matches_golden(name):
     assert mask_exact_step(text) == mask_exact_step(golden)
 
 
+def cells(text):
+    """{(row, column): value} of a CSV, JSON or table output; rows count from 1."""
+    if text.startswith("["):
+        rows = [{k: json.dumps(v) for k, v in obj.items()} for obj in json.loads(text)]
+    elif "," in text.partition("\n")[0]:
+        rows = list(csv.DictReader(io.StringIO(text)))
+    else:
+        header, *lines = text.splitlines()
+        columns = header.split()
+        rows = [dict(zip(columns, line.split(None, len(columns) - 1))) for line in lines]
+    return {(i, column): value
+            for i, row in enumerate(rows, 1) for column, value in row.items() if value}
+
+
+def cell_diff(name, old, new):
+    """One line per cell that differs: file, row, column, old and new value."""
+    before, after = cells(old), cells(new)
+    return [f"{name}.out row {row} {column}: {before.get((row, column), '-')} -> "
+            f"{after.get((row, column), '-')}"
+            for row, column in {**before, **after}
+            if before.get((row, column)) != after.get((row, column))]
+
+
 def record():
     GOLDEN_DIR.mkdir(exist_ok=True)
     moved = []
     for name, (argv, expected_code) in sorted(CASES.items()):
         code, text = run_case(argv)
-        (GOLDEN_DIR / f"{name}.out").write_bytes(text.encode("utf-8"))
+        path = GOLDEN_DIR / f"{name}.out"
+        if path.exists():
+            print("\n".join(cell_diff(name, path.read_text("utf-8"), text)) or f"{name}.out unchanged")
+        path.write_bytes(text.encode("utf-8"))
         if code != expected_code:
             moved.append(f"{name}: exit {code}, expected {expected_code}")
     return moved

@@ -106,7 +106,7 @@ class TestOneRowPipeline:
         assert row.exact == expected
 
     def test_quadrature_failure_keeps_partial_value(self, monkeypatch):
-        def unconverged(params, omega_big, order, qspec=None):
+        def unconverged(params, omega_big, order):
             raise ConvergenceError("not converged", value=-0.01, bound=1e-3)
 
         monkeypatch.setattr(runs, "quad_correction", unconverged)

@@ -144,6 +144,19 @@ class TestExactFreeEnergy:
         with pytest.raises(ConvergenceError) as err:
             exact_free_energy(p, tol=1e-14, n_basis_start=8, n_basis_cap=16)
         assert err.value.value is not None and math.isfinite(err.value.value)
+        # the bound is the last doubling step, 8 -> 16
+        assert 1e-14 < err.value.bound < 1e-2
+
+    def test_tail_failure_names_the_tail_and_bounds_it(self):
+        # at T = 400 a 512 basis converges fewer levels than the Boltzmann
+        # sum reaches; the bound covers the distance to the 2048-basis
+        # value -1664.44262 (itself within 7e-7)
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / 400.0)
+        with pytest.raises(ConvergenceError) as err:
+            exact_free_energy(p, n_basis_cap=512)
+        assert str(err.value).endswith(": the Boltzmann tail reaches unconverged levels")
+        assert 0.0 < err.value.bound < math.inf
+        assert abs(err.value.value + 1664.44262) <= err.value.bound
 
     def test_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
