@@ -17,9 +17,9 @@ cube by stick-breaking and integrated with a panel-based Gauss-Legendre
 rule.  The rule is chosen by an embedded error estimate, p before h as
 in QUADPACK (Piessens et al., 1983; Trefethen, *Approximation Theory and
 Approximation Practice*, ch. 19): each panel layout runs a nested ladder
-of 8, 16 and then 32 nodes per panel, each rung's rule being the embedded
-error rule of the next, and the first rung where the two agree to the
-tolerance is accepted.  The panels are halved only when the 16/32 rung
+of 8, 16, 24 and then 32 nodes per panel, each rung's rule being the
+embedded error rule of the next, and the first rung where the two agree to
+the tolerance is accepted.  The panels are halved only when the 24/32 rung
 fails too.  At low temperature the propagator localizes the integrand
 near the corners, so the panels are graded geometrically toward both ends
 of every axis.
@@ -172,8 +172,11 @@ class QuadratureSpec:
             raise ValidationError("max_refinements must be >= 1")
 
 
-# Gauss-Legendre nodes per panel; each rule is the embedded rule of the next
-LADDER = (8, 16, 32)
+# Gauss-Legendre nodes per panel; each rule is the embedded rule of the next.
+# Even steps keep the cost of a point close to a smooth function of
+# beta*Omega: 16 nodes resolve the uniform layouts to rel_tol up to about 22,
+# so the 24-node rung ends the ladder there at (24/32)^3 = 42% of 32 nodes.
+LADDER = (8, 16, 24, 32)
 PANELS_PER_DIM = 4
 # beyond this beta*Omega the panels are graded toward both axis ends
 GRADING_THRESHOLD = 24.0
@@ -364,10 +367,10 @@ def _refined_integrals(
     returned; an embedded rule of one or two nodes on panels wider than the
     decay length 1/(beta Omega) could agree with the full rule by accident,
     so the ladder starts at 8.  One BLAS thread on a 2-core VM, m = omega =
-    lambda = 1: order 4 costs 0.03-0.06 s at beta*Omega <= 4 (the 8/16 rung
-    passes) and about 0.3 s at 6-20 (the 16/32 rung passes; the extra
-    8-node rule adds (8/32)^3 = 1.6%), on graded panels 0.9 s at
-    beta*Omega = 40 and 1.4 s at 100; orders 2 and 3 take a few ms.
+    lambda = 1: order 4 costs 0.04-0.06 s at beta*Omega <= 4 (the 8/16 rung
+    passes) and about 0.17 s at 5-22 (the 16/24 rung passes), on graded
+    panels 1.0 s at beta*Omega = 40 and 1.6 s at 100; orders 2 and 3 take a
+    few ms.
     """
     if not (omega_big > 0.0) or not math.isfinite(omega_big):
         raise ValidationError(

@@ -7,6 +7,7 @@ import pytest
 
 from quartic_vpe.core import ModelParams
 from quartic_vpe.diagrams import (
+    LADDER,
     DiagramSpec,
     QuadratureSpec,
     _panel_edges,
@@ -271,6 +272,20 @@ class TestFailureModes:
                     assert len(rejected) == 1
                 for value, bound in rejected:
                     assert abs(value - closed(p, w)) <= bound
+
+    def test_no_uniform_point_reaches_the_32_node_rung(self):
+        # 16 nodes resolve the uniform panels up to beta*Omega of about 22,
+        # so a rung below the top one ends the ladder there and a point's
+        # cost does not jump to the 32-node rule inside the uniform range
+        rel_tol = QuadratureSpec().rel_tol
+        chosen = [d for d in builtin_diagrams() if d.order == 4]
+        for x in (5.0, 20.0):
+            p = point_at(x)
+            w = solve_gap(p).omega_big
+            for rung, (values, bounds) in enumerate(_rungs(p, w, chosen, "reduced", 1), 1):
+                if np.all(bounds <= rel_tol * np.abs(values)):
+                    break
+            assert LADDER[rung] < LADDER[-1]
 
     def test_argument_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
