@@ -5,10 +5,20 @@ eigenbasis of a harmonic oscillator with basis frequency nu (default: the
 variational Omega, which keeps the required basis size small):
 
     H = nu (n + 1/2) delta_{nn'} + (1/2) m (omega^2 - nu^2) (x^2)_{nn'}
-        + lambda (x^4)_{nn'},
+        + lambda (x^4)_{nn'}.
 
-with x_{n,n+1} = sqrt((n+1)/(2 m nu)) and x^2, x^4 formed by explicit matrix
-products.  The free energy is the truncated Boltzmann sum
+x^2 and x^4 preserve parity, so H splits into an even block (n = 0, 2, ...)
+and an odd block (n = 1, 3, ...), each pentadiagonal in its block index.
+Their bands come from the closed forms, with b^2 = 1/(2 m nu),
+
+    <n|x^2|n> = b^2 (2n + 1),           <n|x^2|n+2> = b^2 sqrt((n+1)(n+2)),
+    <n|x^4|n> = b^4 (6n^2 + 6n + 3),    <n|x^4|n+2> = b^4 (4n + 6) sqrt((n+1)(n+2)),
+    <n|x^4|n+4> = b^4 sqrt((n+1)(n+2)(n+3)(n+4)),
+
+so the truncated matrix is the exact projection of H onto the basis: each
+basis is a principal submatrix of the doubled one, and by Cauchy interlacing
+no eigenvalue rises when the basis doubles.  The free energy is the
+truncated Boltzmann sum
 
     F = -T ln sum_K e^{-beta E_K},
 
@@ -63,22 +73,38 @@ class ExactResult:
     basis_size: int
 
 
-def build_hamiltonian(params: ModelParams, nu: float, n_basis: int) -> np.ndarray:
-    """Dense symmetric Hamiltonian matrix in the (m, nu) oscillator basis."""
+def build_hamiltonian(
+    params: ModelParams, nu: float, n_basis: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Even- and odd-parity blocks of H in the (m, nu) oscillator basis.
+
+    Block index j holds the state n = 2j (even) or n = 2j + 1 (odd); each
+    block is a dense symmetric matrix with bandwidth 2.
+    """
     if nu <= 0.0:
         raise ValidationError(f"basis frequency must be positive, got {nu}")
     if n_basis < 8:
         raise ValidationError(f"basis size must be >= 8, got {n_basis}")
-    n = np.arange(n_basis)
-    x = np.zeros((n_basis, n_basis))
-    off = np.sqrt((n[:-1] + 1.0) / (2.0 * params.m * nu))
-    x[n[:-1], n[:-1] + 1] = off
-    x[n[:-1] + 1, n[:-1]] = off
-    x2 = x @ x
-    x4 = x2 @ x2
-    h = np.diag(nu * (n + 0.5)) + 0.5 * params.m * (params.omega**2 - nu**2) * x2
-    h += params.lam * x4
-    return h
+    b2 = 1.0 / (2.0 * params.m * nu)
+    c2 = 0.5 * params.m * (params.omega**2 - nu**2) * b2
+    c4 = params.lam * b2 * b2
+    blocks = []
+    for parity in (0, 1):
+        n = np.arange(parity, n_basis, 2, dtype=float)
+        r2 = np.sqrt((n + 1.0) * (n + 2.0))  # <n|(a + a^dagger)^2|n+2>
+        k = len(n)
+        h = np.zeros((k, k))
+        bands = (
+            nu * (n + 0.5) + c2 * (2.0 * n + 1.0) + c4 * (6.0 * n * n + 6.0 * n + 3.0),
+            (c2 + c4 * (4.0 * n[:-1] + 6.0)) * r2[:-1],
+            c4 * r2[:-2] * r2[1:-1],
+        )
+        for offset, band in enumerate(bands):
+            i = np.arange(k - offset)
+            h[i, i + offset] = band
+            h[i + offset, i] = band
+        blocks.append(h)
+    return blocks[0], blocks[1]
 
 
 def diagonalize(
@@ -89,8 +115,8 @@ def diagonalize(
     spectral_tol: float = 1e-10,
 ) -> Spectrum:
     """Eigenvalues of the truncated H, with convergence count vs a smaller basis."""
-    h = build_hamiltonian(params, nu, n_basis)
-    eigs = np.linalg.eigvalsh(h)
+    even, odd = build_hamiltonian(params, nu, n_basis)
+    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
     converged = 0
     if prev_eigs is not None:
         k = min(len(prev_eigs), len(eigs))

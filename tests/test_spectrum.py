@@ -19,22 +19,47 @@ RNG = np.random.default_rng(1729)
 
 
 class TestHamiltonian:
-    def test_symmetric_and_banded(self):
+    def test_blocks_symmetric_and_pentadiagonal(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
-        h = build_hamiltonian(p, nu=2.0, n_basis=40)
-        assert np.allclose(h, h.T, atol=0.0)
-        # x^4 connects |n> to |n +/- 4> at most
-        for i in range(40):
-            for j in range(40):
-                if abs(i - j) > 4:
-                    assert h[i, j] == 0.0
+        for n_basis in (40, 41):
+            even, odd = build_hamiltonian(p, nu=2.0, n_basis=n_basis)
+            assert even.shape[0] + odd.shape[0] == n_basis
+            for h in (even, odd):
+                assert np.array_equal(h, h.T)
+                # x^4 connects |n> to |n +/- 4> at most: block offset 2
+                rows, cols = np.nonzero(h)
+                assert np.max(np.abs(rows - cols)) == 2
 
-    def test_parity_selection(self):
-        # x^2 and x^4 preserve parity: no odd |i - j| couplings
-        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
-        h = build_hamiltonian(p, nu=1.3, n_basis=30)
-        odd = [(i, j) for i in range(30) for j in range(30) if (i - j) % 2 == 1]
-        assert all(h[i, j] == 0.0 for i, j in odd)
+    def test_bands_match_matrix_products(self):
+        # the closed-form bands against x^2 = x @ x and x^4 = x^2 @ x^2 from
+        # the truncated position matrix; the products lose the states
+        # beyond the basis, so the last 4 rows differ by design
+        p = ModelParams(m=0.7, omega=1.9, lam=2.3, beta=1.0)
+        nu, n_basis = 1.3, 48
+        n = np.arange(n_basis)
+        x = np.diag(np.sqrt((n[:-1] + 1.0) / (2.0 * p.m * nu)), 1)
+        x = x + x.T
+        x2 = x @ x
+        x4 = x2 @ x2
+        h = np.diag(nu * (n + 0.5)) + 0.5 * p.m * (p.omega**2 - nu**2) * x2 + p.lam * x4
+        # H never couples even and odd states
+        assert not h[0::2, 1::2].any()
+        for parity, block in zip((0, 1), build_hamiltonian(p, nu, n_basis)):
+            dense = h[parity::2, parity::2]
+            rows = (n[parity::2] < n_basis - 4).sum()
+            diff = np.abs(block - dense)[:rows]
+            assert np.all(diff <= 1e-13 * np.abs(dense[:rows]))
+            assert np.any(block[rows:] != dense[rows:])
+
+    def test_eigenvalues_interlace_under_doubling(self):
+        # the n basis is a principal submatrix of the 2n one, so no
+        # eigenvalue rises when the basis doubles (Cauchy interlacing)
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=0.01)
+        nu = solve_gap(p).omega_big
+        for n_basis in (64, 128, 256, 512):
+            small = diagonalize(p, nu, n_basis).eigenvalues
+            large = diagonalize(p, nu, 2 * n_basis).eigenvalues[:n_basis]
+            assert np.all(large - small <= 1e-13 * np.abs(small))
 
     def test_harmonic_limit(self):
         # vanishing quartic coupling in the matched basis gives the
