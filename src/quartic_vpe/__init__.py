@@ -16,7 +16,6 @@ from .core import (
 )
 from .diagrams import (
     DiagramSpec,
-    QuadratureSpec,
     builtin_diagrams,
     quad_correction,
     quad_diagram,
@@ -41,7 +40,7 @@ from .series import (
     temperature_factor,
 )
 from .spectrum import ExactResult, Spectrum, exact_free_energy
-from .variational import VariationalSolution, f0, solve_gap
+from .variational import VariationalSolution, solve_gap
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,6 @@ __all__ = [
     "FreeEnergySeries",
     "ModelParams",
     "Propagator",
-    "QuadratureSpec",
     "RescaledParams",
     "ResultRow",
     "Spectrum",
@@ -63,7 +61,6 @@ __all__ = [
     "c3_closed",
     "c4_closed",
     "exact_free_energy",
-    "f0",
     "harmonic_free_energy",
     "quad_correction",
     "quad_diagram",

@@ -28,10 +28,11 @@ converge (the affected rows are still emitted, marked degraded).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
-from .core import ModelParams, RescaledParams
+from .core import ModelParams, RescaledParams, unrescale
 from .errors import ConvergenceError, ValidationError
 from .runs import (
     exit_code_for,
@@ -43,8 +44,7 @@ from .runs import (
     run_table1,
     run_table2,
 )
-
-DEFAULT_EXACT_TOL = 1e-9
+from .spectrum import DEFAULT_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,8 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_point(args) -> tuple[ModelParams | None, RescaledParams | None, float]:
-    """Build the requested point from flags; reduced and physical modes."""
+def _resolve_point(args) -> ModelParams:
+    """Build the requested point from flags; reduced and physical modes.
+
+    A reduced point is realized with mass 1 at coupling ``--lambda``.
+    """
     lam = 1.0 if args.lam is None else args.lam
     if args.z is not None or args.t_reduced is not None:
         if args.z is None or args.t_reduced is None:
@@ -177,7 +180,7 @@ def _resolve_point(args) -> tuple[ModelParams | None, RescaledParams | None, flo
                 "give either reduced flags (--z/--t-reduced) or physical "
                 "flags (--omega/--mass/--beta/--temp), not both"
             )
-        return None, RescaledParams(z=args.z, t_reduced=args.t_reduced), lam
+        return unrescale(RescaledParams(z=args.z, t_reduced=args.t_reduced), lam=lam)
     omega = 1.0 if args.omega is None else args.omega
     mass = 1.0 if args.mass is None else args.mass
     if args.temp is not None:
@@ -186,14 +189,14 @@ def _resolve_point(args) -> tuple[ModelParams | None, RescaledParams | None, flo
         beta = 1.0 / args.temp
     else:
         beta = 1.0 if args.beta is None else args.beta
-    return ModelParams(m=mass, omega=omega, lam=lam, beta=beta), None, lam
+    return ModelParams(m=mass, omega=omega, lam=lam, beta=beta)
 
 
 def _exact_tol(args) -> float:
     if args.tol is None:
-        return DEFAULT_EXACT_TOL
-    if args.tol <= 0.0:
-        raise ValidationError(f"tolerance must be positive, got {args.tol}")
+        return DEFAULT_TOL
+    if not 0.0 < args.tol < math.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {args.tol}")
     return args.tol
 
 
@@ -206,24 +209,21 @@ def _dispatch(args) -> list:
         return run_figure(args.command, args.points,
                           exact_tol=_exact_tol(args))
     if args.command == "point":
-        params, rescaled, lam = _resolve_point(args)
-        row = run_point(params, rescaled, lam=lam, max_order=args.order,
-                        exact=args.exact, quad=args.quad,
-                        exact_tol=_exact_tol(args))
-        return [row]
+        return [run_point(_resolve_point(args), max_order=args.order,
+                          exact=args.exact, quad=args.quad,
+                          exact_tol=_exact_tol(args))]
     if args.command == "sweep":
         if args.z is not None or args.t_reduced is not None:
             raise ValidationError("sweep works on physical variables; "
                                   "reduced flags are not supported here")
-        base, _, _ = _resolve_point(args)
-        return run_sweep(base, args.var, args.start, args.stop, args.points,
+        return run_sweep(_resolve_point(args), args.var, args.start,
+                         args.stop, args.points,
                          max_order=args.order, exact=args.exact,
                          quad=args.quad, exact_tol=_exact_tol(args),
                          log_spacing=args.log)
     if args.command == "oracle-check":
-        params, rescaled, lam = _resolve_point(args)
-        return run_oracle_check(params, rescaled, lam=lam,
-                                max_order=args.order, tol=args.tol)
+        return run_oracle_check(_resolve_point(args), max_order=args.order,
+                                tol=args.tol)
     raise ValidationError(f"unknown command {args.command!r}")
 
 

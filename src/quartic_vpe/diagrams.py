@@ -39,7 +39,6 @@ from .errors import ConvergenceError, ValidationError
 
 __all__ = [
     "DiagramSpec",
-    "QuadratureSpec",
     "builtin_diagrams",
     "quad_correction",
     "quad_diagram",
@@ -158,20 +157,10 @@ def builtin_diagrams() -> list[DiagramSpec]:
     ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Refinement policy of the simplex rule: tolerance and panel halvings."""
-
-    rel_tol: float = 1e-9
-    max_refinements: int = 3
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0):
-            raise ValidationError("rel_tol must be positive")
-        if self.max_refinements < 1:
-            raise ValidationError("max_refinements must be >= 1")
-
-
+# Relative agreement of a rung with its embedded rule, and panel halvings
+# tried after the first layout.
+REL_TOL = 1e-9
+MAX_REFINEMENTS = 3
 # Gauss-Legendre nodes per panel; each rule is the embedded rule of the next.
 # Even steps keep the cost of a point close to a smooth function of
 # beta*Omega: 16 nodes resolve the uniform layouts to rel_tol up to about 22,
@@ -328,14 +317,13 @@ def _rungs(
     omega_big: float,
     diagrams: list[DiagramSpec],
     mode: str,
-    max_refinements: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(values, |values - embedded|) of each rung of ``LADDER``, then again
-    on panels halved up to ``max_refinements`` times."""
+    on panels halved up to ``MAX_REFINEMENTS`` times."""
     propagator = Propagator(params.m, omega_big, params.beta)
     per_diagram = [_slot_orderings(d, mode) for d in diagrams]
     dim = diagrams[0].order - 1
-    for level in range(max_refinements + 1):
+    for level in range(MAX_REFINEMENTS + 1):
         edges = _panel_edges(params.beta * omega_big, level)
         embedded = None
         for nodes_per_panel in LADDER:
@@ -353,14 +341,13 @@ def _refined_integrals(
     omega_big: float,
     diagrams: list[DiagramSpec],
     coeffs: np.ndarray,
-    qspec: QuadratureSpec | None,
     mode: str,
     what: str,
 ) -> float:
     """Sum of ``coeffs`` times the diagrams' simplex integrals.
 
     Accepts the first rung of ``_rungs`` where every diagram's
-    |full - embedded| is at most ``rel_tol`` times |full|; else raises
+    |full - embedded| is at most ``REL_TOL`` times |full|; else raises
     ConvergenceError with the last rung's value and bound
     sum(|coeffs| * |full - embedded|).  Once the embedded rule resolves the
     integrand, the difference over-estimates the error of the value
@@ -376,15 +363,12 @@ def _refined_integrals(
         raise ValidationError(
             f"trial frequency must be positive and finite, got {omega_big}"
         )
-    if qspec is None:
-        qspec = QuadratureSpec()
-    for values, bounds in _rungs(params, omega_big, diagrams, mode,
-                                 qspec.max_refinements):
-        if np.all(bounds <= qspec.rel_tol * np.abs(values)):
+    for values, bounds in _rungs(params, omega_big, diagrams, mode):
+        if np.all(bounds <= REL_TOL * np.abs(values)):
             return float(np.sum(coeffs * values))
     raise ConvergenceError(
-        f"{what} did not stabilize to rel_tol={qspec.rel_tol} "
-        f"within {qspec.max_refinements} refinements",
+        f"{what} did not stabilize to rel_tol={REL_TOL} "
+        f"within {MAX_REFINEMENTS} refinements",
         value=float(np.sum(coeffs * values)),
         bound=float(np.sum(np.abs(coeffs) * bounds)),
     )
@@ -394,7 +378,6 @@ def quad_diagram(
     params: ModelParams,
     omega_big: float,
     diagram: DiagramSpec,
-    qspec: QuadratureSpec | None = None,
     mode: str = "reduced",
 ) -> float:
     """Contribution of one diagram to the free energy, by quadrature.
@@ -413,15 +396,10 @@ def quad_diagram(
     if mode == "full":
         prefactor /= params.beta
     return _refined_integrals(params, omega_big, [diagram], np.array([prefactor]),
-                              qspec, mode, f"quadrature for diagram {diagram.label}")
+                              mode, f"quadrature for diagram {diagram.label}")
 
 
-def quad_correction(
-    params: ModelParams,
-    omega_big: float,
-    order: int,
-    qspec: QuadratureSpec | None = None,
-) -> float:
+def quad_correction(params: ModelParams, omega_big: float, order: int) -> float:
     """Sum of all built-in diagrams of one order (the oracle for c_n).
 
     Same-order diagrams share one quadrature grid and one set of
@@ -432,5 +410,5 @@ def quad_correction(
         raise ValidationError(f"no built-in diagrams of order {order}")
     base = chosen[0].sign * params.lam**order / math.factorial(order)
     coeffs = base * np.array([d.symmetry_factor for d in chosen])
-    return _refined_integrals(params, omega_big, chosen, coeffs, qspec,
-                              "reduced", f"order-{order} quadrature")
+    return _refined_integrals(params, omega_big, chosen, coeffs, "reduced",
+                              f"order-{order} quadrature")

@@ -42,7 +42,7 @@ from .diagrams import quad_correction
 from .errors import ConvergenceError, ValidationError
 from .literature import TABLE1, TABLE1_Z, TABLE2
 from .series import VALID_ORDERS, series_eval
-from .spectrum import exact_free_energy
+from .spectrum import DEFAULT_TOL, exact_free_energy
 
 __all__ = [
     "ResultRow",
@@ -205,8 +205,7 @@ def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
     kw.update(fixed)
     if exact:
         with _degrade_on_convergence_error(kw, "exact oracle", "exact", "exact_step"):
-            res = exact_free_energy(params, tol=exact_tol, nu=fe.omega_big,
-                                    full_output=True)
+            res = exact_free_energy(params, tol=exact_tol, nu=fe.omega_big)
             kw.update(exact=res.value, exact_step=res.step)
     if quad:
         for order in range(2, max_order + 1):
@@ -216,31 +215,16 @@ def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
     return ResultRow(**kw)
 
 
-def _physical(params: ModelParams | None, rescaled: RescaledParams | None,
-              lam: float) -> ModelParams:
-    """The point given by exactly one of params or rescaled (realized at lam)."""
-    if (params is None) == (rescaled is None):
-        raise ValidationError("give exactly one of params or rescaled")
-    return params if rescaled is None else unrescale(rescaled, lam=lam)
-
-
-def run_point(params: ModelParams | None = None,
-              rescaled: RescaledParams | None = None, *,
-              lam: float = 1.0, max_order: int = 4,
+def run_point(params: ModelParams, *, max_order: int = 4,
               exact: bool = False, quad: bool = False,
-              exact_tol: float = 1e-9) -> ResultRow:
-    """Evaluate one parameter point, optionally with either oracle.
-
-    Exactly one of ``params`` (physical) or ``rescaled`` (reduced; realized
-    at coupling ``lam`` with mass 1) must be given.
-    """
-    return _point_row(_physical(params, rescaled, lam), max_order, exact,
-                      quad, exact_tol)
+              exact_tol: float = DEFAULT_TOL) -> ResultRow:
+    """Evaluate one parameter point, optionally with either oracle."""
+    return _point_row(params, max_order, exact, quad, exact_tol)
 
 
 def run_sweep(base: ModelParams, var: str, start: float, stop: float,
               points: int, *, max_order: int = 4, exact: bool = False,
-              quad: bool = False, exact_tol: float = 1e-9,
+              quad: bool = False, exact_tol: float = DEFAULT_TOL,
               log_spacing: bool = False) -> list[ResultRow]:
     """Sweep one physical variable over [start, stop] with the rest fixed."""
     if var not in SWEEP_VARIABLES:
@@ -267,7 +251,7 @@ def run_sweep(base: ModelParams, var: str, start: float, stop: float,
     return rows
 
 
-def run_table1(*, exact: bool = False, exact_tol: float = 1e-9) -> list[ResultRow]:
+def run_table1(*, exact: bool = False, exact_tol: float = DEFAULT_TOL) -> list[ResultRow]:
     """Strong-coupling benchmark scan at z = 10 against published values.
 
     One row per reduced temperature in {1, 2, 3, 4, 5, 10, 20, 30}, with the
@@ -285,7 +269,7 @@ def run_table1(*, exact: bool = False, exact_tol: float = 1e-9) -> list[ResultRo
     ]
 
 
-def run_table2(*, exact: bool = False, exact_tol: float = 1e-9) -> list[ResultRow]:
+def run_table2(*, exact: bool = False, exact_tol: float = DEFAULT_TOL) -> list[ResultRow]:
     """Coupling/temperature benchmark scan at m = omega = 1.
 
     One row per published (lambda, beta) pair with the computed partial sums
@@ -306,7 +290,7 @@ def run_table2(*, exact: bool = False, exact_tol: float = 1e-9) -> list[ResultRo
 
 
 def run_figure(which: str, grid_resolution: int | None = None, *,
-               exact_tol: float = 1e-9) -> list[ResultRow]:
+               exact_tol: float = DEFAULT_TOL) -> list[ResultRow]:
     """Data series behind the three figures (numbers only, no rendering).
 
     * ``fig1``: temperature scan T in (0, 1] at lam = m = omega = 1;
@@ -340,9 +324,7 @@ def run_figure(which: str, grid_resolution: int | None = None, *,
             for params in grid]
 
 
-def run_oracle_check(params: ModelParams | None = None,
-                     rescaled: RescaledParams | None = None, *,
-                     lam: float = 1.0, max_order: int = 4,
+def run_oracle_check(params: ModelParams, *, max_order: int = 4,
                      tol: float | None = None) -> list[ResultRow]:
     """Compare each closed-form correction with its quadrature value.
 
@@ -352,13 +334,12 @@ def run_oracle_check(params: ModelParams | None = None,
     ``tol=None`` uses the per-order defaults in :data:`ORACLE_CHECK_TOL`;
     an explicit value applies to every order.
     """
-    params = _physical(params, rescaled, lam)
     if max_order not in VALID_ORDERS or max_order < 2:
         raise ValidationError(
             f"oracle check needs max_order in {{2, 3, 4}}, got {max_order}"
         )
-    if tol is not None and tol <= 0.0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
     fe = series_eval(params, max_order=max_order)
     rows = []
     for order in range(2, max_order + 1):

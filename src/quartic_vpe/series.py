@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .core import ModelParams
 from .errors import ValidationError
-from .variational import VariationalSolution, solve_gap
+from .variational import solve_gap
 
 __all__ = [
     "FreeEnergySeries",
@@ -209,30 +209,18 @@ class FreeEnergySeries:
             return None
         return f3 + self.c4
 
-    def partial_sum(self, order: int) -> float | None:
-        """Free energy through the given order (0, 2, 3 or 4)."""
-        if order not in VALID_ORDERS:
-            raise ValidationError(f"order must be one of {VALID_ORDERS}, got {order}")
-        return {0: self.f0, 2: self.f2, 3: self.f3, 4: self.f4}[order]
 
-
-def series_eval(
-    params: ModelParams,
-    max_order: int = 4,
-    solution: VariationalSolution | None = None,
-) -> FreeEnergySeries:
+def series_eval(params: ModelParams, max_order: int = 4) -> FreeEnergySeries:
     """Solve the gap equation once and evaluate corrections up to max_order.
 
     The trial frequency is shared by every order: it is fixed at the
-    zeroth-order stationary point and never re-optimized.  A
-    pre-computed ``solution`` may be passed to avoid re-solving.
+    zeroth-order stationary point and never re-optimized.
     """
     if max_order not in VALID_ORDERS:
         raise ValidationError(
             f"max_order must be one of {VALID_ORDERS}, got {max_order}"
         )
-    if solution is None:
-        solution = solve_gap(params)
+    solution = solve_gap(params)
     values: dict[int, float] = {}
     for order in (2, 3, 4):
         if order <= max_order:

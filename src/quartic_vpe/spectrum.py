@@ -47,6 +47,14 @@ __all__ = [
 ]
 
 BOLTZMANN_CUT = 1e-16
+# |Delta F| between two basis sizes that counts as converged
+DEFAULT_TOL = 1e-9
+# The basis doubles from BASIS_START up to BASIS_CAP.
+BASIS_START = 64
+BASIS_CAP = 2048
+# An eigenvalue has converged once it moves by less than this, relative to
+# the spectral spread, when the basis doubles.
+SPECTRAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -59,8 +67,6 @@ class Spectrum:
     """
 
     eigenvalues: np.ndarray
-    basis_size: int
-    basis_frequency: float
     converged_count: int
 
 
@@ -81,8 +87,8 @@ def build_hamiltonian(
     Block index j holds the state n = 2j (even) or n = 2j + 1 (odd); each
     block is a dense symmetric matrix with bandwidth 2.
     """
-    if nu <= 0.0:
-        raise ValidationError(f"basis frequency must be positive, got {nu}")
+    if not 0.0 < nu < math.inf:
+        raise ValidationError(f"basis frequency must be positive and finite, got {nu}")
     if n_basis < 8:
         raise ValidationError(f"basis size must be >= 8, got {n_basis}")
     b2 = 1.0 / (2.0 * params.m * nu)
@@ -112,7 +118,6 @@ def diagonalize(
     nu: float,
     n_basis: int,
     prev_eigs: np.ndarray | None = None,
-    spectral_tol: float = 1e-10,
 ) -> Spectrum:
     """Eigenvalues of the truncated H, with convergence count vs a smaller basis."""
     even, odd = build_hamiltonian(params, nu, n_basis)
@@ -121,14 +126,9 @@ def diagonalize(
     if prev_eigs is not None:
         k = min(len(prev_eigs), len(eigs))
         scale = max(1.0, float(eigs[k - 1] - eigs[0]))
-        close = np.abs(eigs[:k] - prev_eigs[:k]) < spectral_tol * scale
+        close = np.abs(eigs[:k] - prev_eigs[:k]) < SPECTRAL_TOL * scale
         converged = int(np.argmin(close)) if not close.all() else k
-    return Spectrum(
-        eigenvalues=eigs,
-        basis_size=n_basis,
-        basis_frequency=nu,
-        converged_count=converged,
-    )
+    return Spectrum(eigenvalues=eigs, converged_count=converged)
 
 
 def _boltzmann_free_energy(eigs: np.ndarray, beta: float) -> tuple[float, int]:
@@ -142,33 +142,26 @@ def _boltzmann_free_energy(eigs: np.ndarray, beta: float) -> tuple[float, int]:
 
 
 def exact_free_energy(
-    params: ModelParams,
-    tol: float = 1e-9,
-    nu: float | None = None,
-    n_basis_start: int = 64,
-    n_basis_cap: int = 2048,
-    full_output: bool = False,
-) -> float | ExactResult:
+    params: ModelParams, tol: float = DEFAULT_TOL, nu: float | None = None
+) -> ExactResult:
     """Free energy from the diagonalization oracle, basis-doubled until stable.
 
-    With ``full_output`` the achieved doubling step |Delta F| and the final
-    basis size are returned alongside the value.  Raises ConvergenceError
-    with the partial value if the cap is hit before |Delta F| < tol.  Its
+    The result carries the achieved doubling step |Delta F| and the final
+    basis size.  Raises ConvergenceError with the partial value if
+    ``BASIS_CAP`` is reached before |Delta F| < tol.  Its
     bound is the last doubling step; when the Boltzmann sum reaches more
     levels than the basis converges, it is at least the free energy those
     levels carry, T ln(Z / Z_converged), and the message names the tail.
     """
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if n_basis_start < 8 or n_basis_cap < n_basis_start:
-        raise ValidationError("need 8 <= n_basis_start <= n_basis_cap")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     if nu is None:
         nu = solve_gap(params).omega_big
-    n_basis = n_basis_start
+    n_basis = BASIS_START
     step = math.inf
     prev_f = None
     prev_eigs = None
-    while n_basis <= n_basis_cap:
+    while n_basis <= BASIS_CAP:
         spec = diagonalize(params, nu, n_basis, prev_eigs=prev_eigs)
         f, n_kept = _boltzmann_free_energy(spec.eigenvalues, params.beta)
         # the Boltzmann sum must not reach into the unconverged top of the basis
@@ -176,12 +169,10 @@ def exact_free_energy(
         if prev_f is not None:
             step = abs(f - prev_f)
             if tail_ok and step < tol:
-                if full_output:
-                    return ExactResult(value=f, step=step, basis_size=n_basis)
-                return f
+                return ExactResult(value=f, step=step, basis_size=n_basis)
         prev_f, prev_eigs = f, spec.eigenvalues
         n_basis *= 2
-    message = f"exact free energy not stable to {tol:.1e} at basis cap {n_basis_cap}"
+    message = f"exact free energy not stable to {tol:.1e} at basis cap {BASIS_CAP}"
     bound = step
     if not tail_ok:
         # T ln(Z / Z_converged): the free energy the unconverged levels carry

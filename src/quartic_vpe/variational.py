@@ -35,7 +35,6 @@ __all__ = [
     "fbar",
     "dfbar_domega2",
     "solve_gap",
-    "f0",
 ]
 
 # The solver stops once the scaled residual is within STOP_ULPS ulp of its
@@ -200,8 +199,3 @@ def solve_gap(params: ModelParams) -> VariationalSolution:
         residual=abs(rho) * om * om,
         iterations=evals,
     )
-
-
-def f0(params: ModelParams) -> float:
-    """Variational free energy F0 at the gap-equation root."""
-    return solve_gap(params).f0

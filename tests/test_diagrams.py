@@ -8,8 +8,8 @@ import pytest
 from quartic_vpe.core import ModelParams
 from quartic_vpe.diagrams import (
     LADDER,
+    REL_TOL,
     DiagramSpec,
-    QuadratureSpec,
     _panel_edges,
     _rungs,
     _slot_orderings,
@@ -127,13 +127,7 @@ class TestOrderingClasses:
         assert counts == {"4a": 2, "4b": 2, "4c": 3}
 
 
-class TestQuadratureSpec:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValidationError):
-            QuadratureSpec(max_refinements=0)
-
+class TestPanelEdges:
     def test_graded_edges_increasing_and_symmetric(self):
         # 2 * ceil(log2 x) edges, i.e. no zero-width panel at r = 1
         for x, n_edges in ((25.0, 10), (100.0, 14), (1e4, 28)):
@@ -229,16 +223,17 @@ class TestOracleAgreement:
 
 
 class TestFailureModes:
-    def test_non_convergence_reports_estimate(self):
+    def test_non_convergence_reports_estimate(self, monkeypatch):
         # a tolerance below round-off fails on every rung, so both entry
         # points give up after one halving and report the last rung
+        monkeypatch.setattr("quartic_vpe.diagrams.REL_TOL", 1e-17)
+        monkeypatch.setattr("quartic_vpe.diagrams.MAX_REFINEMENTS", 1)
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=10.0)
         w = solve_gap(p).omega_big
-        strict = QuadratureSpec(rel_tol=1e-17, max_refinements=1)
         triangle = next(d for d in builtin_diagrams() if d.label == "3")
         for what, call in (
-            ("quadrature for diagram 3", lambda: quad_diagram(p, w, triangle, qspec=strict)),
-            ("order-3 quadrature", lambda: quad_correction(p, w, 3, qspec=strict)),
+            ("quadrature for diagram 3", lambda: quad_diagram(p, w, triangle)),
+            ("order-3 quadrature", lambda: quad_correction(p, w, 3)),
         ):
             with pytest.raises(ConvergenceError) as err:
                 call()
@@ -253,7 +248,6 @@ class TestFailureModes:
         # difference that bounds the distance of its value from the closed
         # form; at beta*Omega = 10 and 20 the first rung (16 nodes, 8
         # embedded) is rejected, and its bound covers its error there
-        rel_tol = QuadratureSpec().rel_tol
         for beta in (0.5, 2.0, 5.0, 10.0):
             p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=beta)
             w = solve_gap(p).omega_big
@@ -264,8 +258,8 @@ class TestFailureModes:
                     for d in chosen
                 ])
                 rejected = []
-                for values, bounds in _rungs(p, w, chosen, "reduced", 1):
-                    if np.all(bounds <= rel_tol * np.abs(values)):
+                for values, bounds in _rungs(p, w, chosen, "reduced"):
+                    if np.all(bounds <= REL_TOL * np.abs(values)):
                         break
                     rejected.append((coeffs @ values, np.abs(coeffs) @ bounds))
                 if beta in (5.0, 10.0):  # beta*Omega = 10 and 20
@@ -277,13 +271,12 @@ class TestFailureModes:
         # 16 nodes resolve the uniform panels up to beta*Omega of about 22,
         # so a rung below the top one ends the ladder there and a point's
         # cost does not jump to the 32-node rule inside the uniform range
-        rel_tol = QuadratureSpec().rel_tol
         chosen = [d for d in builtin_diagrams() if d.order == 4]
         for x in (5.0, 20.0):
             p = point_at(x)
             w = solve_gap(p).omega_big
-            for rung, (values, bounds) in enumerate(_rungs(p, w, chosen, "reduced", 1), 1):
-                if np.all(bounds <= rel_tol * np.abs(values)):
+            for rung, (values, bounds) in enumerate(_rungs(p, w, chosen, "reduced"), 1):
+                if np.all(bounds <= REL_TOL * np.abs(values)):
                     break
             assert LADDER[rung] < LADDER[-1]
 

@@ -57,6 +57,8 @@ CASES = {
         ["sweep", "--var", "lam", "--from", "1e-12", "--to", "1e8",
          "--points", "61", "--log"], 0),
     "oracle_check": (["oracle-check", "--beta", "2"], 0),
+    "oracle_check_reduced": (
+        ["oracle-check", "--z", "10", "--t-reduced", "1", "--order", "3"], 0),
     "oracle_check_degraded": (
         ["oracle-check", "--beta", "2", "--order", "2", "--tol", "1e-18"], 2),
     "point_exact_degraded": (["point", "--exact", "--temp", "400"], 2),

@@ -99,7 +99,7 @@ class TestOneRowPipeline:
         def resolve(params):
             raise ConvergenceError("the exact oracle solved the gap again")
 
-        expected = spectrum.exact_free_energy(self.PARAMS)
+        expected = spectrum.exact_free_energy(self.PARAMS).value
         monkeypatch.setattr(spectrum, "solve_gap", resolve)
         row = run_point(self.PARAMS, exact=True)
         assert row.status == STATUS_OK
@@ -220,18 +220,23 @@ class TestRunPoint:
         assert row.f4 == fe.f4
         assert row.z == 0.5 and row.t_reduced == pytest.approx(0.2)
 
-    def test_reduced_point_matches_its_representative(self):
+    def test_reduced_point_matches_its_representative(self, capsys):
+        # the command line realizes a reduced point with mass 1 at --lambda
+        assert main(["point", "--z", "10", "--t-reduced", "1",
+                     "--lambda", "2"]) == 0
         rp = RescaledParams(z=10.0, t_reduced=1.0)
-        via_reduced = run_point(rescaled=rp)
-        via_physical = run_point(unrescale(rp, lam=1.0))
-        assert via_reduced == via_physical
+        assert capsys.readouterr().out == \
+            render_rows([run_point(unrescale(rp, lam=2.0))])
 
-    def test_exactly_one_parameter_form(self):
-        with pytest.raises(ValidationError):
-            run_point()
-        with pytest.raises(ValidationError):
-            run_point(ModelParams(1.0, 1.0, 1.0, 1.0),
-                      RescaledParams(1.0, 1.0))
+    def test_exactly_one_parameter_form(self, capsys):
+        # the command line takes a point in reduced or in physical flags
+        for command in ("point", "oracle-check"):
+            assert main([command, "--z", "10"]) == 1
+            assert main([command, "--z", "10", "--t-reduced", "1",
+                         "--beta", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("reduced mode needs both --z and --t-reduced") == 2
+        assert err.count("not both") == 2
 
     def test_order_truncation_and_validation(self):
         params = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
@@ -300,10 +305,9 @@ class TestRunOracleCheck:
     def test_validation(self):
         with pytest.raises(ValidationError):
             run_oracle_check(self.PARAMS, max_order=0)
-        with pytest.raises(ValidationError):
-            run_oracle_check(self.PARAMS, tol=-1.0)
-        with pytest.raises(ValidationError):
-            run_oracle_check()
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                run_oracle_check(self.PARAMS, tol=tol)
 
 
 class TestRenderRows:
@@ -400,6 +404,20 @@ class TestCli:
     def test_oracle_check_rejects_non_positive_tol(self, capsys):
         assert main(["oracle-check", "--beta", "2", "--tol", "0"]) == 1
         assert "tolerance must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["table1"], ["table2"], ["fig1"], ["fig2"], ["fig3"],
+        ["point", "--exact"],
+        ["sweep", "--var", "temp", "--from", "1", "--to", "2", "--exact"],
+        ["oracle-check", "--beta", "2"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tol_must_be_positive_and_finite(self, argv, tol, capsys):
+        assert main([*argv, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: tolerance must be positive and finite, got {float(tol)}\n")
 
     def test_usage_errors_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

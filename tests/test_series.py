@@ -229,29 +229,11 @@ class TestSeriesEval:
         s3 = series_eval(p, max_order=3)
         assert s3.c4 is None and s3.f3 is not None and s3.f4 is None
 
-    def test_partial_sum_accessor(self):
-        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
-        s = series_eval(p)
-        assert s.partial_sum(0) == s.f0
-        assert s.partial_sum(2) == s.f2
-        assert s.partial_sum(3) == s.f3
-        assert s.partial_sum(4) == s.f4
-        with pytest.raises(ValidationError):
-            s.partial_sum(1)
-
     def test_invalid_max_order(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
         for bad in (1, 5, -1):
             with pytest.raises(ValidationError):
                 series_eval(p, max_order=bad)
-
-    def test_precomputed_solution_passthrough(self):
-        p = ModelParams(m=1.0, omega=0.5, lam=2.0, beta=4.0)
-        sol = solve_gap(p)
-        a = series_eval(p)
-        b = series_eval(p, solution=sol)
-        assert a.omega_big == b.omega_big
-        assert a.f4 == b.f4
 
     def test_partial_sums_match_reference_tables(self):
         # unit-scale coupling, beta = 5

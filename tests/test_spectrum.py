@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from quartic_vpe import spectrum
 from quartic_vpe.core import ModelParams
 from quartic_vpe.errors import ConvergenceError, ValidationError
 from quartic_vpe.spectrum import (
@@ -72,8 +73,9 @@ class TestHamiltonian:
 
     def test_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
-        with pytest.raises(ValidationError):
-            build_hamiltonian(p, nu=0.0, n_basis=32)
+        for nu in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                build_hamiltonian(p, nu=nu, n_basis=32)
         with pytest.raises(ValidationError):
             build_hamiltonian(p, nu=1.0, n_basis=4)
 
@@ -120,34 +122,33 @@ class TestExactFreeEnergy:
         # strong-coupling dimensionless point z = 10 at unit reduced
         # temperature, quoted to 12 digits in the reference literature
         p = ModelParams(m=1.0, omega=math.sqrt(20.0), lam=1.0, beta=1.0)
-        assert exact_free_energy(p, tol=1e-11) == pytest.approx(
+        assert exact_free_energy(p, tol=1e-11).value == pytest.approx(
             2.26225951564, abs=1e-9
         )
         # unit coupling at beta = 5
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=5.0)
-        assert exact_free_energy(p) == pytest.approx(0.803758, abs=1e-5)
+        assert exact_free_energy(p).value == pytest.approx(0.803758, abs=1e-5)
 
     def test_basis_frequency_independence(self):
         # the truncation converges to the same physics from any
         # reasonable basis frequency
         p = ModelParams(m=1.0, omega=1.0, lam=2.0, beta=2.0)
         w = solve_gap(p).omega_big
-        values = [exact_free_energy(p, tol=1e-10, nu=s * w) for s in (0.5, 1.0, 2.0)]
+        values = [exact_free_energy(p, tol=1e-10, nu=s * w).value for s in (0.5, 1.0, 2.0)]
         assert max(values) - min(values) < 1e-8
 
     def test_full_output_diagnostics(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
-        res = exact_free_energy(p, tol=1e-9, full_output=True)
+        res = exact_free_energy(p, tol=1e-9)
         assert isinstance(res, ExactResult)
         assert res.step < 1e-9
         assert res.basis_size >= 64
-        assert res.value == pytest.approx(exact_free_energy(p, tol=1e-9), abs=0.0)
 
     def test_free_energy_decreasing_and_concave_in_temperature(self):
         p0 = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
         temps = np.linspace(0.4, 3.0, 9)
         values = [
-            exact_free_energy(ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / t))
+            exact_free_energy(ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / t)).value
             for t in temps
         ]
         diffs = np.diff(values)
@@ -162,32 +163,35 @@ class TestExactFreeEnergy:
                 lam=float(RNG.uniform(0.2, 10.0)),
                 beta=float(RNG.uniform(0.3, 8.0)),
             )
-            assert solve_gap(p).f0 >= exact_free_energy(p)
+            assert solve_gap(p).f0 >= exact_free_energy(p).value
 
-    def test_non_convergence_reports_partial(self):
+    def test_non_convergence_reports_partial(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "BASIS_START", 8)
+        monkeypatch.setattr(spectrum, "BASIS_CAP", 16)
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
         with pytest.raises(ConvergenceError) as err:
-            exact_free_energy(p, tol=1e-14, n_basis_start=8, n_basis_cap=16)
+            exact_free_energy(p, tol=1e-14)
         assert err.value.value is not None and math.isfinite(err.value.value)
         # the bound is the last doubling step, 8 -> 16
         assert 1e-14 < err.value.bound < 1e-2
 
-    def test_tail_failure_names_the_tail_and_bounds_it(self):
+    def test_tail_failure_names_the_tail_and_bounds_it(self, monkeypatch):
         # at T = 400 a 512 basis converges fewer levels than the Boltzmann
         # sum reaches; the bound covers the distance to the 2048-basis
         # value -1664.44262 (itself within 7e-7)
+        monkeypatch.setattr(spectrum, "BASIS_CAP", 512)
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / 400.0)
         with pytest.raises(ConvergenceError) as err:
-            exact_free_energy(p, n_basis_cap=512)
+            exact_free_energy(p)
         assert str(err.value).endswith(": the Boltzmann tail reaches unconverged levels")
         assert 0.0 < err.value.bound < math.inf
         assert abs(err.value.value + 1664.44262) <= err.value.bound
 
     def test_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
-        with pytest.raises(ValidationError):
-            exact_free_energy(p, tol=0.0)
-        with pytest.raises(ValidationError):
-            exact_free_energy(p, n_basis_start=4)
-        with pytest.raises(ValidationError):
-            exact_free_energy(p, n_basis_start=128, n_basis_cap=64)
+        for tol in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                exact_free_energy(p, tol=tol)
+        for nu in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                exact_free_energy(p, nu=nu)

@@ -13,7 +13,7 @@ from quartic_vpe.cli import main
 from quartic_vpe.core import ModelParams, coth_half
 from quartic_vpe.errors import ConvergenceError, ValidationError
 from quartic_vpe.series import c2_closed, c3_closed, c4_closed
-from quartic_vpe.variational import dfbar_domega2, f0, fbar, solve_gap
+from quartic_vpe.variational import dfbar_domega2, fbar, solve_gap
 
 RNG = np.random.default_rng(7041)
 
@@ -124,10 +124,12 @@ class TestF0:
     def test_zero_temperature_value(self):
         # F0(T=0) = Omega/2 - 3 lambda/(4 m^2 Omega^2) -> 1 - 3/16 = 0.8125 at
         # m = omega = lambda = 1 (Omega = 2)
-        assert f0(ModelParams(1.0, 1.0, 1.0, 300.0)) == pytest.approx(0.8125, abs=1e-10)
+        s = solve_gap(ModelParams(1.0, 1.0, 1.0, 300.0))
+        assert s.f0 == pytest.approx(0.8125, abs=1e-10)
 
     def test_published_value_beta5(self):
-        assert f0(ModelParams(1.0, 1.0, 1.0, 5.0)) == pytest.approx(0.812491, abs=5e-7)
+        s = solve_gap(ModelParams(1.0, 1.0, 1.0, 5.0))
+        assert s.f0 == pytest.approx(0.812491, abs=5e-7)
 
     def test_matches_fbar_at_root(self):
         for mp in random_params(25):
