@@ -28,13 +28,15 @@ converge (the affected rows are still emitted, marked degraded).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .core import ModelParams, RescaledParams, unrescale
 from .errors import ConvergenceError, ValidationError
 from .runs import (
+    FIGURE_DEFAULT_RESOLUTION,
+    OUTPUT_FORMATS,
+    SWEEP_VARIABLES,
     exit_code_for,
     render_rows,
     run_figure,
@@ -44,7 +46,7 @@ from .runs import (
     run_table1,
     run_table2,
 )
-from .spectrum import DEFAULT_TOL
+from .series import VALID_ORDERS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,14 +58,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json", "table"), default="csv",
+    p.add_argument("--format", choices=OUTPUT_FORMATS, default="csv",
                    help="output format (default: csv)")
     p.add_argument("--out", metavar="PATH",
                    help="write output to PATH instead of stdout")
-
-
-def _add_tol_flag(p: argparse.ArgumentParser, text: str) -> None:
-    p.add_argument("--tol", type=float, metavar="FLOAT", help=text)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -87,7 +85,7 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_order_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order", type=int, choices=(0, 2, 3, 4), default=4,
+    p.add_argument("--order", type=int, choices=VALID_ORDERS, default=4,
                    help="highest correction order to include (default 4)")
 
 
@@ -103,22 +101,19 @@ def build_parser() -> argparse.ArgumentParser:
                        description=run_table1.__doc__)
     p.add_argument("--exact", action="store_true",
                    help="add the exact-diagonalization column")
-    _add_tol_flag(p, "convergence tolerance for the exact oracle")
     _add_output_flags(p)
 
     p = sub.add_parser("table2", help="benchmark scan at m = omega = 1",
                        description=run_table2.__doc__)
     p.add_argument("--exact", action="store_true",
                    help="add the exact-diagonalization column")
-    _add_tol_flag(p, "convergence tolerance for the exact oracle")
     _add_output_flags(p)
 
-    for which in ("fig1", "fig2", "fig3"):
+    for which in FIGURE_DEFAULT_RESOLUTION:
         p = sub.add_parser(which, help=f"data series behind {which}",
                            description=run_figure.__doc__)
         p.add_argument("--points", type=int, metavar="N",
                        help="grid resolution (per curve)")
-        _add_tol_flag(p, "convergence tolerance for the exact oracle")
         _add_output_flags(p)
 
     p = sub.add_parser("point", help="evaluate one parameter point",
@@ -129,14 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add the exact-diagonalization oracle")
     p.add_argument("--quad", action="store_true",
                    help="add the diagram-quadrature oracle per order")
-    _add_tol_flag(p, "convergence tolerance for the exact oracle")
     _add_output_flags(p)
 
     p = sub.add_parser("sweep", help="evaluate a grid over one variable",
                        description=run_sweep.__doc__)
     _add_param_flags(p)
     p.add_argument("--var", required=True,
-                   choices=("lam", "omega", "mass", "beta", "temp"),
+                   choices=SWEEP_VARIABLES,
                    help="variable to sweep")
     p.add_argument("--from", dest="start", type=float, required=True,
                    metavar="FLOAT", help="first grid value")
@@ -151,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add the exact-diagonalization oracle")
     p.add_argument("--quad", action="store_true",
                    help="add the diagram-quadrature oracle per order")
-    _add_tol_flag(p, "convergence tolerance for the exact oracle")
     _add_output_flags(p)
 
     p = sub.add_parser("oracle-check",
@@ -159,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                        description=run_oracle_check.__doc__)
     _add_param_flags(p)
     _add_order_flag(p)
-    _add_tol_flag(p, "relative agreement tolerance (default: per-order)")
+    p.add_argument("--tol", type=float, metavar="FLOAT",
+                   help="relative agreement tolerance (default: per-order)")
     _add_output_flags(p)
 
     return parser
@@ -192,26 +186,16 @@ def _resolve_point(args) -> ModelParams:
     return ModelParams(m=mass, omega=omega, lam=lam, beta=beta)
 
 
-def _exact_tol(args) -> float:
-    if args.tol is None:
-        return DEFAULT_TOL
-    if not 0.0 < args.tol < math.inf:
-        raise ValidationError(f"tolerance must be positive and finite, got {args.tol}")
-    return args.tol
-
-
 def _dispatch(args) -> list:
     if args.command == "table1":
-        return run_table1(exact=args.exact, exact_tol=_exact_tol(args))
+        return run_table1(exact=args.exact)
     if args.command == "table2":
-        return run_table2(exact=args.exact, exact_tol=_exact_tol(args))
-    if args.command in ("fig1", "fig2", "fig3"):
-        return run_figure(args.command, args.points,
-                          exact_tol=_exact_tol(args))
+        return run_table2(exact=args.exact)
+    if args.command in FIGURE_DEFAULT_RESOLUTION:
+        return run_figure(args.command, args.points)
     if args.command == "point":
         return [run_point(_resolve_point(args), max_order=args.order,
-                          exact=args.exact, quad=args.quad,
-                          exact_tol=_exact_tol(args))]
+                          exact=args.exact, quad=args.quad)]
     if args.command == "sweep":
         if args.z is not None or args.t_reduced is not None:
             raise ValidationError("sweep works on physical variables; "
@@ -219,8 +203,7 @@ def _dispatch(args) -> list:
         return run_sweep(_resolve_point(args), args.var, args.start,
                          args.stop, args.points,
                          max_order=args.order, exact=args.exact,
-                         quad=args.quad, exact_tol=_exact_tol(args),
-                         log_spacing=args.log)
+                         quad=args.quad, log_spacing=args.log)
     if args.command == "oracle-check":
         return run_oracle_check(_resolve_point(args), max_order=args.order,
                                 tol=args.tol)
@@ -240,7 +223,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return exit_code_for(rows)

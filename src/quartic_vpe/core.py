@@ -139,14 +139,6 @@ class Propagator:
                 f"(m={self.m}, Omega={self.omega_big}, beta={self.beta})"
             )
 
-    def __call__(self, tau, tau_prime):
-        """G(tau, tau') for tau, tau' in [0, beta] (scalar or ndarray)."""
-        s = np.abs(np.asarray(tau, dtype=float) - np.asarray(tau_prime, dtype=float))
-        out = self.at_separation(s)
-        if np.ndim(tau) == 0 and np.ndim(tau_prime) == 0:
-            return float(out)
-        return out
-
     def at_separation(self, s):
         """G at separation s = |tau - tau'|, s in [0, beta]."""
         s = np.asarray(s, dtype=float)

@@ -32,6 +32,7 @@ import csv
 import io
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -42,7 +43,7 @@ from .diagrams import quad_correction
 from .errors import ConvergenceError, ValidationError
 from .literature import TABLE1, TABLE1_Z, TABLE2
 from .series import VALID_ORDERS, series_eval
-from .spectrum import DEFAULT_TOL, exact_free_energy
+from .spectrum import exact_free_energy
 
 __all__ = [
     "ResultRow",
@@ -69,6 +70,7 @@ FIGURE_Z_VALUES = (0.2, 1.0, 10.0, 30.0, 50.0)
 ORACLE_CHECK_TOL = {2: 1e-6, 3: 1e-6, 4: 1e-4}
 
 SWEEP_VARIABLES = ("lam", "omega", "mass", "beta", "temp")
+OUTPUT_FORMATS = ("csv", "json", "table")
 
 _FLOAT_FMT = ".9g"
 
@@ -189,7 +191,7 @@ def _degrade_on_convergence_error(kw: dict, what: str, value_field: str,
 
 
 def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
-               exact_tol: float, **fixed) -> ResultRow:
+               **fixed) -> ResultRow:
     """The series row of one point, with the requested oracles.
 
     ``fixed`` holds columns the caller sets outright; they override the
@@ -205,7 +207,7 @@ def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
     kw.update(fixed)
     if exact:
         with _degrade_on_convergence_error(kw, "exact oracle", "exact", "exact_step"):
-            res = exact_free_energy(params, tol=exact_tol, nu=fe.omega_big)
+            res = exact_free_energy(params, nu=fe.omega_big)
             kw.update(exact=res.value, exact_step=res.step)
     if quad:
         for order in range(2, max_order + 1):
@@ -216,16 +218,14 @@ def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
 
 
 def run_point(params: ModelParams, *, max_order: int = 4,
-              exact: bool = False, quad: bool = False,
-              exact_tol: float = DEFAULT_TOL) -> ResultRow:
+              exact: bool = False, quad: bool = False) -> ResultRow:
     """Evaluate one parameter point, optionally with either oracle."""
-    return _point_row(params, max_order, exact, quad, exact_tol)
+    return _point_row(params, max_order, exact, quad)
 
 
 def run_sweep(base: ModelParams, var: str, start: float, stop: float,
               points: int, *, max_order: int = 4, exact: bool = False,
-              quad: bool = False, exact_tol: float = DEFAULT_TOL,
-              log_spacing: bool = False) -> list[ResultRow]:
+              quad: bool = False, log_spacing: bool = False) -> list[ResultRow]:
     """Sweep one physical variable over [start, stop] with the rest fixed."""
     if var not in SWEEP_VARIABLES:
         raise ValidationError(
@@ -247,11 +247,11 @@ def run_sweep(base: ModelParams, var: str, start: float, stop: float,
                 raise ValidationError(f"temp must be positive, got {value}")
             value = 1.0 / value
         p = replace(base, **{field: value})
-        rows.append(_point_row(p, max_order, exact, quad, exact_tol))
+        rows.append(_point_row(p, max_order, exact, quad))
     return rows
 
 
-def run_table1(*, exact: bool = False, exact_tol: float = DEFAULT_TOL) -> list[ResultRow]:
+def run_table1(*, exact: bool = False) -> list[ResultRow]:
     """Strong-coupling benchmark scan at z = 10 against published values.
 
     One row per reduced temperature in {1, 2, 3, 4, 5, 10, 20, 30}, with the
@@ -261,7 +261,7 @@ def run_table1(*, exact: bool = False, exact_tol: float = DEFAULT_TOL) -> list[R
     """
     return [
         _point_row(unrescale(RescaledParams(TABLE1_Z, ref.t_reduced), lam=1.0),
-                   4, exact, False, exact_tol,
+                   4, exact, False,
                    ref_f0=ref.f0.value, ref_f2=ref.f2.value,
                    ref_f3=ref.f3.value, ref_f4=ref.f4.value,
                    ref_accu=ref.f_accu.value)
@@ -269,7 +269,7 @@ def run_table1(*, exact: bool = False, exact_tol: float = DEFAULT_TOL) -> list[R
     ]
 
 
-def run_table2(*, exact: bool = False, exact_tol: float = DEFAULT_TOL) -> list[ResultRow]:
+def run_table2(*, exact: bool = False) -> list[ResultRow]:
     """Coupling/temperature benchmark scan at m = omega = 1.
 
     One row per published (lambda, beta) pair with the computed partial sums
@@ -280,7 +280,7 @@ def run_table2(*, exact: bool = False, exact_tol: float = DEFAULT_TOL) -> list[R
     """
     return [
         _point_row(ModelParams(m=1.0, omega=1.0, lam=ref.lam, beta=ref.beta),
-                   3, exact, False, exact_tol,
+                   3, exact, False,
                    ref_f0=ref.f0.value, ref_f2=ref.f2.value,
                    ref_f3=ref.f3.value, ref_exact=ref.f_exact.value,
                    ref_f1_cumulant=ref.f1_cumulant.value,
@@ -289,8 +289,7 @@ def run_table2(*, exact: bool = False, exact_tol: float = DEFAULT_TOL) -> list[R
     ]
 
 
-def run_figure(which: str, grid_resolution: int | None = None, *,
-               exact_tol: float = DEFAULT_TOL) -> list[ResultRow]:
+def run_figure(which: str, grid_resolution: int | None = None) -> list[ResultRow]:
     """Data series behind the three figures (numbers only, no rendering).
 
     * ``fig1``: temperature scan T in (0, 1] at lam = m = omega = 1;
@@ -320,7 +319,7 @@ def run_figure(which: str, grid_resolution: int | None = None, *,
         grid = [ModelParams(m=1.0, omega=0.0, lam=1.0, beta=float(beta))
                 for beta in np.geomspace(0.25, 20.0, n)]
     fixed = {"f2": None, "f3": None} if which == "fig2" else {}
-    return [_point_row(params, 4, which != "fig2", False, exact_tol, **fixed)
+    return [_point_row(params, 4, which != "fig2", False, **fixed)
             for params in grid]
 
 
@@ -332,7 +331,9 @@ def run_oracle_check(params: ModelParams, *, max_order: int = 4,
     closed-form value, the quadrature value, and their relative gap.  A gap
     above tolerance (or a non-converged quadrature) marks the row degraded.
     ``tol=None`` uses the per-order defaults in :data:`ORACLE_CHECK_TOL`;
-    an explicit value applies to every order.
+    an explicit value applies to every order.  A correction that underflows
+    below the smallest normal double has no relative gap and is a
+    :class:`ValidationError`.
     """
     if max_order not in VALID_ORDERS or max_order < 2:
         raise ValidationError(
@@ -341,9 +342,16 @@ def run_oracle_check(params: ModelParams, *, max_order: int = 4,
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValidationError(f"tolerance must be positive and finite, got {tol}")
     fe = series_eval(params, max_order=max_order)
+    closed_forms = {order: getattr(fe, f"c{order}")
+                    for order in range(2, max_order + 1)}
+    for order, closed in closed_forms.items():
+        if abs(closed) < sys.float_info.min:
+            raise ValidationError(
+                f"order-{order} correction {closed!r} is below the smallest "
+                "normal double; its relative gap is not defined"
+            )
     rows = []
-    for order in range(2, max_order + 1):
-        closed = getattr(fe, f"c{order}")
+    for order, closed in closed_forms.items():
         kw = _coords(params)
         kw.update(order=order, omega_big=fe.omega_big, closed=closed)
         with _degrade_on_convergence_error(kw, "quadrature", "quad"):
@@ -380,9 +388,7 @@ def render_rows(rows: list[ResultRow], fmt: str = "csv") -> str:
         return _render_json(rows)
     if fmt == "table":
         return _render_table(rows)
-    raise ValidationError(
-        f"format must be one of ('csv', 'json', 'table'), got {fmt!r}"
-    )
+    raise ValidationError(f"format must be one of {OUTPUT_FORMATS}, got {fmt!r}")
 
 
 def _render_csv(rows: list[ResultRow]) -> str:

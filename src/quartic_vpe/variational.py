@@ -33,7 +33,6 @@ from .errors import ConvergenceError, ValidationError
 __all__ = [
     "VariationalSolution",
     "fbar",
-    "dfbar_domega2",
     "solve_gap",
 ]
 
@@ -93,25 +92,6 @@ def fbar(params: ModelParams, omega_big: float) -> float:
         + 0.5 * params.m * (params.omega**2 - omega_big**2) * g
         + 3.0 * params.lam * g * g
     )
-
-
-def dfbar_domega2(params: ModelParams, omega_big: float) -> float:
-    """Analytic d Fbar / d Omega^2.
-
-    Differentiating Fbar and using dh/dOmega = m Omega G_tt for the harmonic
-    term leaves the factored form
-
-        d Fbar / d Omega^2 = (G_tt'(Omega) / 2 Omega)
-                             * [ (1/2) m (omega^2 - Omega^2) + 6 lambda G_tt ],
-
-    with G_tt' = -(G_tt / Omega) (1 + x / sinh x) < 0, x = beta Omega.  The
-    bracket is -(m/2) r(Omega), so the stationary point is the gap root.
-    """
-    g = Propagator(params.m, omega_big, params.beta).equal_time()
-    _representable(params, omega_big)
-    dg = -g / omega_big * (1.0 + _x_over_sinh(params.beta * omega_big))
-    bracket = 0.5 * params.m * (params.omega**2 - omega_big**2) + 6.0 * params.lam * g
-    return dg / (2.0 * omega_big) * bracket
 
 
 def _scaled_residual(params: ModelParams, a: float, om: float) -> tuple[float, float, float]:

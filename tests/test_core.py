@@ -106,11 +106,6 @@ class TestPropagator:
         assert np.all(g > 0.0)
         assert np.all(np.diff(g) < 0.0)
 
-    def test_call_uses_absolute_difference(self):
-        p = Propagator(m=1.0, omega_big=1.0, beta=2.0)
-        assert p(0.3, 1.1) == pytest.approx(p(1.1, 0.3), rel=1e-15)
-        assert p(0.3, 1.1) == pytest.approx(p.at_separation(0.8), rel=1e-15)
-
     def test_extreme_beta_omega_finite(self):
         # no overflow at beta*Omega = 1e4 and sane small-x behaviour
         p = Propagator(m=1.0, omega_big=100.0, beta=100.0)

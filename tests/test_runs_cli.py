@@ -413,11 +413,39 @@ class TestCli:
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_tol_must_be_positive_and_finite(self, argv, tol, capsys):
-        assert main([*argv, f"--tol={tol}"]) == 1
+        # only oracle-check has --tol; the exact oracle's tolerance is fixed,
+        # so on every other subcommand the flag is a usage error
+        try:
+            code = main([*argv, f"--tol={tol}"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        if argv[0] == "oracle-check":
+            assert captured.err == (
+                f"error: tolerance must be positive and finite, got {float(tol)}\n")
+        else:
+            assert captured.err.endswith(
+                f"error: unrecognized arguments: --tol={tol}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--lambda", "1e-200", "--beta", "1"],              # c2 is -0.0
+        ["--lambda", "1e-160", "--beta", "1", "--order", "2"],  # c2 subnormal
+    ])
+    def test_oracle_check_rejects_underflowed_correction(self, argv, capsys):
+        assert main(["oracle-check", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: tolerance must be positive and finite, got {float(tol)}\n")
+        assert captured.err.startswith("error: order-2 correction ")
+        assert captured.err.count("\n") == 1
+
+    def test_out_to_unwritable_path_is_an_error(self, tmp_path, capsys):
+        for target in (tmp_path / "missing" / "rows.csv", tmp_path):
+            assert main(["point", "--out", str(target)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot write {target}: ")
+            assert captured.err.count("\n") == 1
 
     def test_usage_errors_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,28 +1,41 @@
-"""The benchmark's tracer still finds every layer boundary it times.
+"""The benchmark's tracer and checker still match the program.
 
 ``perfbench/tracing.py`` wraps program functions by module attribute name
 (``runs.exact_free_energy``, ``spectrum.diagonalize``, ...).  A rename in
-``src/`` would leave those spans empty without an error, so this test runs
+``src/`` would leave those spans empty without an error, so one test runs
 two CLI commands under the tracer and checks the per-layer metrics.
+``perfbench/check.py`` keeps its own copies of the program's tolerances;
+another test keeps them equal.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
+from quartic_vpe import runs, spectrum
 from quartic_vpe.cli import main
 
-TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
+def test_checker_tolerances_match_the_program():
+    check = load_perfbench("check")
+    # the checker accepts F0 >= exact - EXACT_TOL
+    assert check.EXACT_TOL == spectrum.DEFAULT_TOL
+    assert check.ORACLE_TOL == runs.ORACLE_CHECK_TOL
+
+
 def test_tracer_sees_every_layer(capsys):
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     with tracing.Tracer() as tracer:
         assert main(["point", "--exact", "--temp", "2"]) == 0
         assert main(["oracle-check", "--beta", "2", "--order", "2"]) == 0

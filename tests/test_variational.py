@@ -13,18 +13,18 @@ from quartic_vpe.cli import main
 from quartic_vpe.core import ModelParams, coth_half
 from quartic_vpe.errors import ConvergenceError, ValidationError
 from quartic_vpe.series import c2_closed, c3_closed, c4_closed
-from quartic_vpe.variational import dfbar_domega2, fbar, solve_gap
+from quartic_vpe.variational import fbar, solve_gap
 
 RNG = np.random.default_rng(7041)
 
 
-def random_params(n, lam_hi=50.0, beta_omega_cap=200.0):
+def random_params(n):
     out = []
     for _ in range(n):
         m = float(RNG.uniform(0.3, 3.0))
         om = float(RNG.uniform(0.0, 4.0))
-        lam = float(10.0 ** RNG.uniform(-2, math.log10(lam_hi)))
-        beta = float(RNG.uniform(0.05, beta_omega_cap / max(om, 1.0)))
+        lam = float(10.0 ** RNG.uniform(-2, math.log10(50.0)))
+        beta = float(RNG.uniform(0.05, 200.0 / max(om, 1.0)))
         out.append(ModelParams(m=m, omega=om, lam=lam, beta=beta))
     return out
 
@@ -40,11 +40,6 @@ class TestGapEquation:
         for mp in random_params(200):
             s = solve_gap(mp)
             assert s.residual < 1e-12
-
-    def test_stationarity_of_trial_functional(self):
-        for mp in random_params(40):
-            s = solve_gap(mp)
-            assert abs(dfbar_domega2(mp, s.omega_big)) < 1e-9 * max(1.0, abs(s.f0))
 
     def test_gap_identity_at_root(self):
         # (1/2) m (omega^2 - Omega^2) + 6 lambda G_tt = 0 at the solution
@@ -81,20 +76,6 @@ class TestGapEquation:
 
 
 class TestTrialFunctional:
-    def test_derivative_matches_finite_difference(self):
-        # off-root points: at the root itself both sides are ~0 and the finite
-        # difference is pure cancellation noise (covered by the stationarity test)
-        for mp in random_params(30, beta_omega_cap=60.0):
-            s = solve_gap(mp)
-            for om in (0.6 * s.omega_big, 1.3 * s.omega_big, 1.7 * s.omega_big):
-                u = om * om
-                h = 1e-6 * u
-                fp, fm = fbar(mp, math.sqrt(u + h)), fbar(mp, math.sqrt(u - h))
-                fd = (fp - fm) / (2.0 * h)
-                an = dfbar_domega2(mp, om)
-                noise = 20.0 * 2.3e-16 * max(abs(fp), abs(fm)) / h
-                assert abs(an - fd) <= 1e-5 * abs(an) + noise
-
     def test_root_minimizes(self):
         for mp in random_params(25):
             s = solve_gap(mp)
@@ -116,8 +97,6 @@ class TestTrialFunctional:
                        (ModelParams(1.0, 1.0, 1.0, 1.0), 1e200)):
             with pytest.raises(ValidationError):
                 fbar(mp, om)
-            with pytest.raises(ValidationError):
-                dfbar_domega2(mp, om)
 
 
 class TestF0:
