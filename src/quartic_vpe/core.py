@@ -116,6 +116,14 @@ def unrescale(rp: RescaledParams, lam: float = 1.0) -> ModelParams:
     return ModelParams(m=1.0, omega=omega, lam=lam, beta=beta)
 
 
+def check_frequency(omega_big: float) -> None:
+    """Reject a trial frequency that is not positive and finite (nan included)."""
+    if not 0.0 < omega_big < math.inf:
+        raise ValidationError(
+            f"trial frequency must be positive and finite, got {omega_big}"
+        )
+
+
 @dataclass(frozen=True)
 class Propagator:
     """Thermal harmonic propagator at trial frequency Omega > 0.
@@ -133,10 +141,11 @@ class Propagator:
     beta: float
 
     def __post_init__(self):
-        if self.m <= 0.0 or self.omega_big <= 0.0 or self.beta <= 0.0:
+        check_frequency(self.omega_big)
+        if self.m <= 0.0 or self.beta <= 0.0:
             raise ValidationError(
-                "propagator requires m > 0, Omega > 0, beta > 0, got "
-                f"(m={self.m}, Omega={self.omega_big}, beta={self.beta})"
+                "propagator requires m > 0, beta > 0, got "
+                f"(m={self.m}, beta={self.beta})"
             )
 
     def at_separation(self, s):
@@ -182,15 +191,13 @@ def propagator_matsubara(p: Propagator, s: float, n_max: int) -> float:
     return total / beta
 
 
-def harmonic_free_energy(m: float, nu: float, beta: float) -> float:
+def harmonic_free_energy(nu: float, beta: float) -> float:
     """Free energy (1/beta) ln(2 sinh(beta nu / 2)) of a harmonic oscillator.
 
     Evaluated as nu/2 + ln(1 - e^{-beta nu})/beta, stable for beta*nu from
-    1e-300 to 1e300.  (Independent of m; the argument is kept for signature
-    symmetry with the rest of the model interface and validated.)
+    1e-300 to 1e300.
     """
-    if m <= 0.0 or nu <= 0.0 or beta <= 0.0:
-        raise ValidationError(
-            f"harmonic_free_energy requires m, nu, beta > 0, got ({m}, {nu}, {beta})"
-        )
+    check_frequency(nu)
+    if beta <= 0.0:
+        raise ValidationError(f"harmonic_free_energy requires beta > 0, got {beta}")
     return 0.5 * nu + math.log(-math.expm1(-beta * nu)) / beta

@@ -359,10 +359,6 @@ def _refined_integrals(
     panels 1.0 s at beta*Omega = 40 and 1.6 s at 100; orders 2 and 3 take a
     few ms.
     """
-    if not (omega_big > 0.0) or not math.isfinite(omega_big):
-        raise ValidationError(
-            f"trial frequency must be positive and finite, got {omega_big}"
-        )
     for values, bounds in _rungs(params, omega_big, diagrams, mode):
         if np.all(bounds <= REL_TOL * np.abs(values)):
             return float(np.sum(coeffs * values))

@@ -12,9 +12,9 @@ fig2's blank f2/f3).  The per-order oracle-check rows are the other kind.
 
 Conventions:
 
-* rows carry both the physical coordinates (lam, omega, mass, beta, temp)
-  and, whenever mass = 1, the reduced coordinates (z, t_reduced) of the
-  same point; :class:`ResultRow` fills the reduced pair itself;
+* rows carry the physical coordinates (lam, omega, mass, beta, temp) and,
+  whenever mass = 1, the reduced coordinates (z, t_reduced) of the same
+  point; :class:`ResultRow` fills all of them from one ``ModelParams``;
 * ``f0``/``f2``/``f3``/``f4`` are cumulative partial sums of the
   variational series, not bare corrections;
 * ``ref_*`` columns are published literature values quoted for
@@ -34,7 +34,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -79,21 +79,20 @@ _FLOAT_FMT = ".9g"
 class ResultRow:
     """One output row; unset fields mean "not part of this run".
 
-    Field order is the CSV column order.  Invariants enforced here: every
-    populated numeric field is finite; when both coordinate forms are
-    present they describe the same point under the reduced-variable map
-    (which requires mass = 1); ``temp`` is the reciprocal of ``beta``.
-    A mass-1 row with the full physical quadruple and no reduced pair gets
-    it filled in.
+    Field order is the CSV column order.  The coordinate columns are not
+    arguments: they are filled from ``params``, the point the row belongs
+    to, with ``temp = 1/beta`` and, for mass 1 only, its reduced pair
+    ``rescale(params)``.  Every populated numeric field must be finite.
     """
 
-    lam: float | None = None
-    omega: float | None = None
-    mass: float | None = None
-    beta: float | None = None
-    temp: float | None = None
-    z: float | None = None
-    t_reduced: float | None = None
+    params: InitVar[ModelParams | None] = None
+    lam: float | None = field(default=None, init=False)
+    omega: float | None = field(default=None, init=False)
+    mass: float | None = field(default=None, init=False)
+    beta: float | None = field(default=None, init=False)
+    temp: float | None = field(default=None, init=False)
+    z: float | None = field(default=None, init=False)
+    t_reduced: float | None = field(default=None, init=False)
     order: int | None = None
     omega_big: float | None = None
     f0: float | None = None
@@ -119,7 +118,12 @@ class ResultRow:
     status: str = STATUS_OK
     note: str | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, params):
+        if params is not None:
+            for name, value in (("lam", params.lam), ("omega", params.omega),
+                                ("mass", params.m), ("beta", params.beta),
+                                ("temp", params.temperature)):
+                object.__setattr__(self, name, value)
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, (int, float)) and not isinstance(v, bool):
@@ -127,43 +131,12 @@ class ResultRow:
                     raise ValidationError(
                         f"row field {f.name} must be finite, got {v!r}"
                     )
-        if self.beta is not None and self.temp is not None:
-            if not math.isclose(self.temp, 1.0 / self.beta, rel_tol=1e-9):
-                raise ValidationError(
-                    f"temp {self.temp} inconsistent with beta {self.beta}"
-                )
-        physical = (self.lam, self.omega, self.mass, self.beta)
-        given = self.z is not None or self.t_reduced is not None
-        if given and None in (*physical, self.z, self.t_reduced):
-            raise ValidationError(
-                "reduced coordinates require the full physical quadruple"
-            )
-        if given and self.mass != 1.0:
-            raise ValidationError(
-                "reduced coordinates are defined for mass = 1 only"
-            )
-        if self.mass != 1.0 or None in physical:
-            return
-        rp = rescale(ModelParams(self.mass, self.omega, self.lam, self.beta))
-        if not given:
+        # after the check, so an overflowed temp is named as such; rescale
+        # validates the pair it returns
+        if params is not None and params.m == 1.0:
+            rp = rescale(params)
             object.__setattr__(self, "z", rp.z)
             object.__setattr__(self, "t_reduced", rp.t_reduced)
-        elif not (math.isclose(self.z, rp.z, rel_tol=1e-9, abs_tol=1e-12)
-                  and math.isclose(self.t_reduced, rp.t_reduced, rel_tol=1e-9)):
-            raise ValidationError(
-                "reduced and physical coordinates disagree: "
-                f"({self.z}, {self.t_reduced}) vs ({rp.z}, {rp.t_reduced})"
-            )
-
-
-def _coords(params: ModelParams) -> dict:
-    return {
-        "lam": params.lam,
-        "omega": params.omega,
-        "mass": params.m,
-        "beta": params.beta,
-        "temp": params.temperature,
-    }
 
 
 def _degrade(kw: dict, note: str) -> None:
@@ -197,12 +170,12 @@ def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
     ``fixed`` holds columns the caller sets outright; they override the
     computed ones.
     """
-    kw = _coords(params)
+    kw = {}
     try:
         fe = series_eval(params, max_order=max_order)
     except ConvergenceError as exc:
         _degrade(kw, f"gap equation: {exc}")
-        return ResultRow(**kw, **fixed)
+        return ResultRow(params=params, **kw, **fixed)
     kw.update(omega_big=fe.omega_big, f0=fe.f0, f2=fe.f2, f3=fe.f3, f4=fe.f4)
     kw.update(fixed)
     if exact:
@@ -211,10 +184,10 @@ def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
             kw.update(exact=res.value, exact_step=res.step)
     if quad:
         for order in range(2, max_order + 1):
-            field = f"quad{order}"
-            with _degrade_on_convergence_error(kw, f"order-{order} quadrature", field):
-                kw[field] = quad_correction(params, fe.omega_big, order)
-    return ResultRow(**kw)
+            column = f"quad{order}"
+            with _degrade_on_convergence_error(kw, f"order-{order} quadrature", column):
+                kw[column] = quad_correction(params, fe.omega_big, order)
+    return ResultRow(params=params, **kw)
 
 
 def run_point(params: ModelParams, *, max_order: int = 4,
@@ -239,14 +212,14 @@ def run_sweep(base: ModelParams, var: str, start: float, stop: float,
         grid = np.geomspace(start, stop, points)
     else:
         grid = np.linspace(start, stop, points)
-    field = {"mass": "m", "temp": "beta"}.get(var, var)
+    attr = {"mass": "m", "temp": "beta"}.get(var, var)
     rows = []
     for value in map(float, grid):
         if var == "temp":
             if value <= 0.0:
                 raise ValidationError(f"temp must be positive, got {value}")
             value = 1.0 / value
-        p = replace(base, **{field: value})
+        p = replace(base, **{attr: value})
         rows.append(_point_row(p, max_order, exact, quad))
     return rows
 
@@ -352,8 +325,7 @@ def run_oracle_check(params: ModelParams, *, max_order: int = 4,
             )
     rows = []
     for order, closed in closed_forms.items():
-        kw = _coords(params)
-        kw.update(order=order, omega_big=fe.omega_big, closed=closed)
+        kw = {"order": order, "omega_big": fe.omega_big, "closed": closed}
         with _degrade_on_convergence_error(kw, "quadrature", "quad"):
             kw["quad"] = quad_correction(params, fe.omega_big, order)
         if "quad" in kw:
@@ -363,7 +335,7 @@ def run_oracle_check(params: ModelParams, *, max_order: int = 4,
         if "status" not in kw and kw["rel_err"] > order_tol:
             _degrade(kw, f"order-{order} gap {kw['rel_err']:.3e} exceeds "
                          f"tolerance {order_tol:.3e}")
-        rows.append(ResultRow(**kw))
+        rows.append(ResultRow(params=params, **kw))
     return rows
 
 

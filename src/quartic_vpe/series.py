@@ -25,7 +25,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .core import ModelParams
+from .core import ModelParams, check_frequency
 from .errors import ValidationError
 from .variational import solve_gap
 
@@ -126,16 +126,9 @@ def temperature_factor(order: int, x: float) -> float:
         return _FACTORS[order](x)
 
 
-def _check_omega(omega_big: float) -> None:
-    if not (omega_big > 0.0) or not math.isfinite(omega_big):
-        raise ValidationError(
-            f"trial frequency must be positive and finite, got {omega_big}"
-        )
-
-
 def c2_closed(params: ModelParams, omega_big: float) -> float:
     """Second-order correction; strictly negative."""
-    _check_omega(omega_big)
+    check_frequency(omega_big)
     lam, m = params.lam, params.m
     x = params.beta * omega_big
     with _in_double_range("c2", x):
@@ -145,7 +138,7 @@ def c2_closed(params: ModelParams, omega_big: float) -> float:
 
 def c3_closed(params: ModelParams, omega_big: float) -> float:
     """Third-order correction; strictly positive."""
-    _check_omega(omega_big)
+    check_frequency(omega_big)
     lam, m = params.lam, params.m
     x = params.beta * omega_big
     with _in_double_range("c3", x):
@@ -162,7 +155,7 @@ def c4_closed(params: ModelParams, omega_big: float) -> float:
     asymptotic regime R_4(x)/x is the constant 202496, used directly
     because 202496 x overflows for x above about 9e302.
     """
-    _check_omega(omega_big)
+    check_frequency(omega_big)
     lam, m = params.lam, params.m
     x = params.beta * omega_big
     with _in_double_range("c4", x):

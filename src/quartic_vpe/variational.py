@@ -88,7 +88,7 @@ def fbar(params: ModelParams, omega_big: float) -> float:
     g = Propagator(params.m, omega_big, params.beta).equal_time()
     _representable(params, omega_big)
     return (
-        harmonic_free_energy(params.m, omega_big, params.beta)
+        harmonic_free_energy(omega_big, params.beta)
         + 0.5 * params.m * (params.omega**2 - omega_big**2) * g
         + 3.0 * params.lam * g * g
     )
@@ -175,7 +175,7 @@ def solve_gap(params: ModelParams) -> VariationalSolution:
     g = Propagator(params.m, om, params.beta).equal_time()
     return VariationalSolution(
         omega_big=om,
-        f0=harmonic_free_energy(params.m, om, params.beta) - 3.0 * params.lam * g * g,
+        f0=harmonic_free_energy(om, params.beta) - 3.0 * params.lam * g * g,
         residual=abs(rho) * om * om,
         iterations=evals,
     )

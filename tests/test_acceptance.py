@@ -6,11 +6,9 @@ cell with the measured deviation; tolerances are stated in the criteria and
 are never loosened to fit the implementation — a red here is a finding.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from quartic_vpe.core import (
     ModelParams,
@@ -191,7 +189,7 @@ class TestAcceptance:
             beta = float(rng.uniform(1.0, 5.0))
             params = ModelParams(m=m, omega=omega, lam=1e-15, beta=beta)
             total = series_eval(params, max_order=4).f4
-            harmonic = harmonic_free_energy(m, omega, beta)
+            harmonic = harmonic_free_energy(omega, beta)
             if abs(total - harmonic) > 1e-12:
                 failures.append(
                     f"(m={m:.3g}, omega={omega:.3g}, beta={beta:.3g}, "

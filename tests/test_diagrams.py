@@ -283,8 +283,9 @@ class TestFailureModes:
     def test_argument_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
         ring = next(d for d in builtin_diagrams() if d.label == "4a")
-        with pytest.raises(ValidationError):
-            quad_diagram(p, -1.0, ring)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                quad_diagram(p, bad, ring)
         with pytest.raises(ValidationError):
             quad_diagram(p, 2.0, ring, mode="sideways")
         with pytest.raises(ValidationError):

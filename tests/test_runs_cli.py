@@ -4,13 +4,14 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from quartic_vpe import runs, spectrum
 from quartic_vpe.cli import main
-from quartic_vpe.core import ModelParams, RescaledParams, unrescale
+from quartic_vpe.core import ModelParams, RescaledParams, rescale, unrescale
 from quartic_vpe.errors import ConvergenceError, ValidationError
 from quartic_vpe.literature import TABLE1, TABLE2
 from quartic_vpe.runs import (
@@ -31,6 +32,9 @@ from quartic_vpe.series import c2_closed, series_eval
 rng = np.random.default_rng(20260823)
 
 
+COORDINATES = ("lam", "omega", "mass", "beta", "temp", "z", "t_reduced")
+
+
 def csv_columns(text):
     return text.splitlines()[0].split(",")
 
@@ -45,33 +49,24 @@ class TestResultRow:
             ResultRow(f0=math.nan)
         with pytest.raises(ValidationError):
             ResultRow(exact=math.inf)
-
-    def test_temp_must_match_beta(self):
-        ResultRow(beta=2.0, temp=0.5)
-        with pytest.raises(ValidationError):
-            ResultRow(beta=2.0, temp=0.6)
-
-    def test_reduced_coordinates_must_match_physical(self):
-        ResultRow(lam=1.0, omega=math.sqrt(20.0), mass=1.0, beta=1.0,
-                  temp=1.0, z=10.0, t_reduced=1.0)
-        with pytest.raises(ValidationError):
-            ResultRow(lam=1.0, omega=math.sqrt(20.0), mass=1.0, beta=1.0,
-                      temp=1.0, z=11.0, t_reduced=1.0)
-
-    def test_reduced_coordinates_need_full_physical_point(self):
-        with pytest.raises(ValidationError):
-            ResultRow(z=10.0, t_reduced=1.0)
-
-    def test_reduced_coordinates_require_unit_mass(self):
-        with pytest.raises(ValidationError):
-            ResultRow(lam=1.0, omega=1.0, mass=2.0, beta=1.0, temp=1.0,
-                      z=0.5, t_reduced=1.0)
+        # temp = 1/beta overflows; the row names it before any rescaling
+        with pytest.raises(ValidationError,
+                           match="^row field temp must be finite, got inf$"):
+            ResultRow(params=ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e-310))
 
     def test_reduced_coordinates_filled_for_unit_mass(self):
-        row = ResultRow(lam=1.0, omega=math.sqrt(20.0), mass=1.0, beta=1.0)
+        row = ResultRow(params=ModelParams(m=1.0, omega=math.sqrt(20.0),
+                                           lam=1.0, beta=1.0))
         assert (row.z, row.t_reduced) == pytest.approx((10.0, 1.0))
-        assert ResultRow(lam=1.0, omega=1.0, mass=2.0, beta=1.0).z is None
-        assert ResultRow(lam=1.0, omega=1.0, mass=1.0).z is None
+        assert csv_columns(render_rows([row])) == [*COORDINATES, "status"]
+        heavy = ResultRow(params=ModelParams(m=2.0, omega=1.0, lam=1.0, beta=1.0))
+        assert csv_columns(render_rows([heavy])) == [*COORDINATES[:5], "status"]
+        assert csv_columns(render_rows([ResultRow()])) == ["status"]
+
+    @pytest.mark.parametrize("name", COORDINATES)
+    def test_coordinates_are_not_arguments(self, name):
+        with pytest.raises(TypeError):
+            ResultRow(**{name: 1.0})
 
 
 class TestOneRowPipeline:
@@ -94,6 +89,24 @@ class TestOneRowPipeline:
                 assert row.f0 is None and row.exact is None
         assert run_table1()[0].ref_f0 == TABLE1[0].f0.value
         assert run_table2()[0].ref_exact == TABLE2[0].f_exact.value
+
+    def test_every_row_carries_its_point(self):
+        unit = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
+        rows = [*run_table1(), *run_table2(),
+                *(row for which in runs.FIGURE_DEFAULT_RESOLUTION
+                  for row in run_figure(which, 2)),
+                run_point(replace(unit, m=2.0)),
+                *run_sweep(unit, "mass", 0.5, 1.5, 3),
+                *run_oracle_check(unit, max_order=2)]
+        assert {row.mass for row in rows} == {0.5, 1.0, 1.5, 2.0}
+        for row in rows:
+            assert row.temp == 1.0 / row.beta
+            params = ModelParams(row.mass, row.omega, row.lam, row.beta)
+            if row.mass == 1.0:
+                rp = rescale(params)
+                assert (row.z, row.t_reduced) == (rp.z, rp.t_reduced)
+            else:
+                assert (row.z, row.t_reduced) == (None, None)
 
     def test_exact_oracle_reuses_the_row_gap_solve(self, monkeypatch):
         def resolve(params):
@@ -446,6 +459,13 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.startswith(f"error: cannot write {target}: ")
             assert captured.err.count("\n") == 1
+
+    def test_overflowed_temperature_is_one_error_line(self, capsys):
+        # order 0 has no correction to fail first; temp = 1/beta overflows
+        assert main(["point", "--order", "0", "--beta", "1e-310"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: row field temp must be finite, got inf\n"
 
     def test_usage_errors_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,6 @@ from quartic_vpe.errors import ValidationError
 from quartic_vpe.series import (
     X_ASYMPTOTIC,
     X_SERIES_THRESHOLD,
-    FreeEnergySeries,
     c2_closed,
     c3_closed,
     c4_closed,
@@ -198,16 +197,15 @@ class TestClosedCorrections:
         for m, om, beta in [(1.0, 1.0, 2.0), (0.7, 2.5, 0.4), (1.3, 0.9, 30.0)]:
             p = ModelParams(m=m, omega=om, lam=1e-14, beta=beta)
             s = series_eval(p)
-            href = harmonic_free_energy(m, om, beta)
+            href = harmonic_free_energy(om, beta)
             assert abs(s.f4 - href) < 1e-12 * max(1.0, abs(href))
 
     def test_omega_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
         for bad in (0.0, -2.0, math.nan, math.inf):
-            with pytest.raises(ValidationError):
-                c2_closed(p, bad)
-            with pytest.raises(ValidationError):
-                c4_closed(p, bad)
+            for closed in (c2_closed, c3_closed, c4_closed):
+                with pytest.raises(ValidationError):
+                    closed(p, bad)
 
 
 class TestSeriesEval:

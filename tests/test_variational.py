@@ -92,9 +92,11 @@ class TestTrialFunctional:
         assert fbar(mp, 1e3) > 10.0 * abs(root.f0)
 
     def test_unrepresentable_frequency_rejected(self):
-        # omega^2 or Omega^2 overflows: a ValidationError, not an OverflowError
+        # omega^2 or Omega^2 overflows: a ValidationError, not an OverflowError;
+        # a non-finite Omega is rejected, not carried through as nan or inf
+        unit = ModelParams(1.0, 1.0, 1.0, 1.0)
         for mp, om in ((ModelParams(1.0, 1e200, 1.0, 1.0), 2e200),
-                       (ModelParams(1.0, 1.0, 1.0, 1.0), 1e200)):
+                       (unit, 1e200), (unit, math.nan), (unit, math.inf)):
             with pytest.raises(ValidationError):
                 fbar(mp, om)
 
