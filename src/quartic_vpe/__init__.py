@@ -39,7 +39,7 @@ from .series import (
     series_eval,
     temperature_factor,
 )
-from .spectrum import ExactResult, Spectrum, exact_free_energy
+from .spectrum import ExactResult, exact_free_energy
 from .variational import VariationalSolution, solve_gap
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "Propagator",
     "RescaledParams",
     "ResultRow",
-    "Spectrum",
     "ValidationError",
     "VariationalSolution",
     "builtin_diagrams",

@@ -22,9 +22,12 @@ truncated Boltzmann sum
 
     F = -T ln sum_K e^{-beta E_K},
 
-summed until e^{-beta (E_K - E_0)} < 1e-16, with the basis size doubled until
-F is stable.  This route shares nothing with the variational/series formulas
-and serves as their end-to-end oracle.
+summed until e^{-beta (E_K - E_0)} < 1e-16.  The basis size doubles until
+|Delta F| < tol and the sum stays within the lower half of the basis.  If the
+cap comes first, the last doubling step bounds the error: the n/2-basis
+levels lie above the lowest n/2 of the n basis, so the step is at least the
+free energy the upper half carries.  This route shares nothing with the
+variational/series formulas and serves as their end-to-end oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .variational import solve_gap
 
 __all__ = [
     "ExactResult",
-    "Spectrum",
     "build_hamiltonian",
     "diagonalize",
     "exact_free_energy",
@@ -52,22 +54,6 @@ DEFAULT_TOL = 1e-9
 # The basis doubles from BASIS_START up to BASIS_CAP.
 BASIS_START = 64
 BASIS_CAP = 2048
-# An eigenvalue has converged once it moves by less than this, relative to
-# the spectral spread, when the basis doubles.
-SPECTRAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of the truncated Hamiltonian.
-
-    converged_count is how many of the lowest eigenvalues agreed (relative to
-    the spectral spread) with the previous, half-size basis; eigenvalues above
-    it carry truncation error.
-    """
-
-    eigenvalues: np.ndarray
-    converged_count: int
 
 
 @dataclass(frozen=True)
@@ -113,22 +99,10 @@ def build_hamiltonian(
     return blocks[0], blocks[1]
 
 
-def diagonalize(
-    params: ModelParams,
-    nu: float,
-    n_basis: int,
-    prev_eigs: np.ndarray | None = None,
-) -> Spectrum:
-    """Eigenvalues of the truncated H, with convergence count vs a smaller basis."""
+def diagonalize(params: ModelParams, nu: float, n_basis: int) -> np.ndarray:
+    """Sorted eigenvalues of H truncated to the lowest n_basis oscillator states."""
     even, odd = build_hamiltonian(params, nu, n_basis)
-    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
-    converged = 0
-    if prev_eigs is not None:
-        k = min(len(prev_eigs), len(eigs))
-        scale = max(1.0, float(eigs[k - 1] - eigs[0]))
-        close = np.abs(eigs[:k] - prev_eigs[:k]) < SPECTRAL_TOL * scale
-        converged = int(np.argmin(close)) if not close.all() else k
-    return Spectrum(eigenvalues=eigs, converged_count=converged)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
 
 
 def _boltzmann_free_energy(eigs: np.ndarray, beta: float) -> tuple[float, int]:
@@ -146,12 +120,13 @@ def exact_free_energy(
 ) -> ExactResult:
     """Free energy from the diagonalization oracle, basis-doubled until stable.
 
-    The result carries the achieved doubling step |Delta F| and the final
-    basis size.  Raises ConvergenceError with the partial value if
-    ``BASIS_CAP`` is reached before |Delta F| < tol.  Its
-    bound is the last doubling step; when the Boltzmann sum reaches more
-    levels than the basis converges, it is at least the free energy those
-    levels carry, T ln(Z / Z_converged), and the message names the tail.
+    The basis doubles until |Delta F| < tol with the Boltzmann sum inside the
+    lower half of the basis.  The result carries the achieved doubling step
+    |Delta F| and the final basis size.  Raises ConvergenceError with the
+    partial value if ``BASIS_CAP`` is reached first.  Its bound is the last
+    doubling step F_{n/2} - F_n, which by interlacing is at least the free
+    energy the levels above n/2 carry, T ln(Z_n / Z_lower half); when the
+    sum reaches those levels, the message names the tail.
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
@@ -160,25 +135,17 @@ def exact_free_energy(
     n_basis = BASIS_START
     step = math.inf
     prev_f = None
-    prev_eigs = None
     while n_basis <= BASIS_CAP:
-        spec = diagonalize(params, nu, n_basis, prev_eigs=prev_eigs)
-        f, n_kept = _boltzmann_free_energy(spec.eigenvalues, params.beta)
-        # the Boltzmann sum must not reach into the unconverged top of the basis
-        tail_ok = n_kept <= max(spec.converged_count, n_basis // 2)
+        f, n_kept = _boltzmann_free_energy(diagonalize(params, nu, n_basis), params.beta)
+        # the Boltzmann sum must stay within the lower half of the basis
+        tail_ok = n_kept <= n_basis // 2
         if prev_f is not None:
             step = abs(f - prev_f)
             if tail_ok and step < tol:
                 return ExactResult(value=f, step=step, basis_size=n_basis)
-        prev_f, prev_eigs = f, spec.eigenvalues
+        prev_f = f
         n_basis *= 2
     message = f"exact free energy not stable to {tol:.1e} at basis cap {BASIS_CAP}"
-    bound = step
     if not tail_ok:
-        # T ln(Z / Z_converged): the free energy the unconverged levels carry
-        weights = np.exp(-params.beta * (spec.eigenvalues[:n_kept] - spec.eigenvalues[0]))
-        z_converged = float(np.sum(weights[:spec.converged_count]))
-        tail = math.log(np.sum(weights) / z_converged) / params.beta if z_converged else math.inf
-        bound = max(step, tail)
         message += ": the Boltzmann tail reaches unconverged levels"
-    raise ConvergenceError(message, value=f, bound=bound)
+    raise ConvergenceError(message, value=f, bound=step)
