@@ -20,9 +20,11 @@ Approximation Practice*, ch. 19): each panel layout runs a nested ladder
 of 8, 16, 24 and then 32 nodes per panel, each rung's rule being the
 embedded error rule of the next, and the first rung where the two agree to
 the tolerance is accepted.  The panels are halved only when the 24/32 rung
-fails too.  At low temperature the propagator localizes the integrand
-near the corners, so the panels are graded geometrically toward both ends
-of every axis.
+fails too.  At high and moderate temperature each axis is split into two
+uniform panels.  At low temperature the propagator localizes the
+integrand near the corners, so the panels are graded geometrically toward
+both ends of every axis, each panel about 8 times as wide as its
+neighbour nearer the axis end.
 """
 
 from __future__ import annotations
@@ -163,11 +165,22 @@ REL_TOL = 1e-9
 MAX_REFINEMENTS = 3
 # Gauss-Legendre nodes per panel; each rule is the embedded rule of the next.
 # Even steps keep the cost of a point close to a smooth function of
-# beta*Omega: 16 nodes resolve the uniform layouts to rel_tol up to about 22,
-# so the 24-node rung ends the ladder there at (24/32)^3 = 42% of 32 nodes.
+# beta*Omega.  On the two uniform panels order 4 ends the ladder on the 8/16
+# rung up to beta*Omega of about 2, on 16/24 up to about 10 and on 24/32 up
+# to the grading threshold (orders 2 and 3 on 8/16 up to about 3, on 24/32
+# only above about 20), so no uniform point needs a panel halving.  The
+# graded panels end on 16/24 at every order and every beta*Omega scanned
+# from 24.1 to 8000.
 LADDER = (8, 16, 24, 32)
-PANELS_PER_DIM = 4
-# beyond this beta*Omega the panels are graded toward both axis ends
+PANELS_PER_DIM = 2
+# Width ratio of neighbouring graded panels.  Measured on order 4 at
+# beta*Omega = 40, 400 and 1600 against ratio 2: ratio 4 costs 0.6-1.0x,
+# ratio 8 0.2-0.3x, and ratio 16 1.2-3x what ratio 8 costs.
+GRADING_RATIO = 8
+# Beyond this beta*Omega the panels are graded toward both axis ends.  The
+# two uniform panels pass on the first layout up to about 25.5 (order 4's
+# estimate is 2e-10 at 24 and 7e-10 at 25.5), then need a halving that costs
+# 1.6x a graded point.
 GRADING_THRESHOLD = 24.0
 # axis-0 nodes evaluated per product-grid chunk (bounds the working memory)
 CHUNK_NODES = 16
@@ -178,14 +191,27 @@ def _panel_edges(x: float, level: int) -> np.ndarray:
 
     Beyond the grading threshold the propagator decay length 1/x (in
     units of the axis) is resolved with geometrically shrinking panels
-    at both ends of the axis.
+    at both ends of the axis: edges at 1/x and every ``GRADING_RATIO``
+    times that below 1/2, plus 1/2 itself where the centre panel would
+    span more than that ratio, mirrored about 1/2.  The edges sit at fixed
+    multiples of the decay length: anchored at a power of two instead,
+    the panel from about 4 to 32 decay lengths leaves the 16-node rule
+    3e-10 off, and the 8/16 rung accepts that wherever the 8-node error
+    crosses it.  The first edge keeps 4 mantissa bits, so every edge and
+    its mirror are exact; unrounded edges triple the round-off error.
     """
     if x <= GRADING_THRESHOLD:
         edges = np.linspace(0.0, 1.0, PANELS_PER_DIM + 1)
     else:
-        deepest = min(42, max(2, int(math.ceil(math.log2(x)))))
-        left = [0.0] + [2.0 ** (-j) for j in range(deepest, 0, -1)]
-        edges = np.array(left[:-1] + [1.0 - e for e in reversed(left[:-1])])
+        mantissa, exponent = math.frexp(max(1.0 / x, 2.0 ** -42))
+        edge = math.ldexp(round(mantissa * 16) / 16, exponent)
+        left = [0.0]
+        while edge < 0.5:
+            left.append(edge)
+            edge *= GRADING_RATIO
+        if 1.0 - left[-1] > GRADING_RATIO * left[-1]:
+            left.append(0.5)
+        edges = np.array(left + [1.0 - e for e in reversed(left) if e < 0.5])
     for _ in range(level):
         mids = 0.5 * (edges[1:] + edges[:-1])
         edges = np.sort(np.concatenate([edges, mids]))
@@ -354,10 +380,11 @@ def _refined_integrals(
     returned; an embedded rule of one or two nodes on panels wider than the
     decay length 1/(beta Omega) could agree with the full rule by accident,
     so the ladder starts at 8.  One BLAS thread on a 2-core VM, m = omega =
-    lambda = 1: order 4 costs 0.04-0.06 s at beta*Omega <= 4 (the 8/16 rung
-    passes) and about 0.17 s at 5-22 (the 16/24 rung passes), on graded
-    panels 1.0 s at beta*Omega = 40 and 1.6 s at 100; orders 2 and 3 take a
-    few ms.
+    lambda = 1: order 4 costs 3 ms at beta*Omega <= 2 (the 8/16 rung
+    passes), 11 ms at 3-10 (16/24) and 28 ms at 12-24 (24/32); on graded
+    panels 0.16-0.18 s at beta*Omega 24-64, 0.28 s at 72-128, 0.43-0.5 s
+    at 160-400, 1.3 s at 1000 and about 2 s at 1600-8000; orders 2 and 3
+    take a few ms.
     """
     for values, bounds in _rungs(params, omega_big, diagrams, mode):
         if np.all(bounds <= REL_TOL * np.abs(values)):

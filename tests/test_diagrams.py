@@ -7,6 +7,7 @@ import pytest
 
 from quartic_vpe.core import ModelParams
 from quartic_vpe.diagrams import (
+    GRADING_THRESHOLD,
     LADDER,
     REL_TOL,
     DiagramSpec,
@@ -129,13 +130,15 @@ class TestOrderingClasses:
 
 class TestPanelEdges:
     def test_graded_edges_increasing_and_symmetric(self):
-        # 2 * ceil(log2 x) edges, i.e. no zero-width panel at r = 1
-        for x, n_edges in ((25.0, 10), (100.0, 14), (1e4, 28)):
+        # edges at about 1/x and every 8 times that below 1/2, mirrored, with
+        # 1/2 itself where the centre panel would span more than 8: 5 panels
+        # per axis at x = 25, 6 at x = 100 (split at 1/2) and 11 at 1e4
+        for x, n_edges in ((25.0, 6), (100.0, 7), (1e4, 12)):
             for level in (0, 2):
                 edges = _panel_edges(x, level)
                 assert edges[0] == 0.0 and edges[-1] == 1.0
                 assert np.all(np.diff(edges) > 0.0)
-                np.testing.assert_allclose(edges, 1.0 - edges[::-1], rtol=0.0, atol=1e-15)
+                np.testing.assert_array_equal(edges, 1.0 - edges[::-1])
                 assert edges.size == (n_edges - 1) * 2**level + 1
 
 
@@ -162,6 +165,22 @@ class TestOracleAgreement:
             p = point_at(x)
             w = solve_gap(p).omega_big
             assert quad_correction(p, w, 4) == pytest.approx(c4_closed(p, w), rel=1e-13)
+
+    def test_closed_forms_across_the_grading_threshold(self):
+        # just below and above the switch from two uniform panels to graded
+        # ones, and deep into the graded range; at 1.0207 * 2**k a layout
+        # anchored at powers of two, not at 1/x, accepts order 3 on the 8/16
+        # rung 3e-10 off
+        for x in (0.999 * GRADING_THRESHOLD, 1.004 * GRADING_THRESHOLD, 100.0,
+                  1.0207 * 128, 1.0207 * 512, 1000.0):
+            p = point_at(x)
+            w = solve_gap(p).omega_big
+            assert quad_correction(p, w, 2) == pytest.approx(c2_closed(p, w), rel=1e-13)
+            assert quad_correction(p, w, 3) == pytest.approx(c3_closed(p, w), rel=1e-13)
+        p = point_at(1.004 * GRADING_THRESHOLD)
+        w = solve_gap(p).omega_big
+        assert p.beta * w > GRADING_THRESHOLD
+        assert quad_correction(p, w, 4) == pytest.approx(c4_closed(p, w), rel=1e-13)
 
     def test_ring_against_spectral_sum(self):
         p = ModelParams(m=1.1, omega=0.8, lam=1.7, beta=2.0)
@@ -246,8 +265,11 @@ class TestFailureModes:
     def test_embedded_bound_covers_the_error(self):
         # every rung the ladder rejects carries a full-vs-embedded
         # difference that bounds the distance of its value from the closed
-        # form; at beta*Omega = 10 and 20 the first rung (16 nodes, 8
-        # embedded) is rejected, and its bound covers its error there
+        # form; at beta*Omega = 10 every order rejects the first rung (16
+        # nodes, 8 embedded), at 20 orders 3 and 4 reject the 16/24 rung too,
+        # and each bound covers its rung's error there
+        rejected_at = {(5.0, 2): 1, (5.0, 3): 1, (5.0, 4): 1,
+                       (10.0, 2): 1, (10.0, 3): 2, (10.0, 4): 2}
         for beta in (0.5, 2.0, 5.0, 10.0):
             p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=beta)
             w = solve_gap(p).omega_big
@@ -263,22 +285,24 @@ class TestFailureModes:
                         break
                     rejected.append((coeffs @ values, np.abs(coeffs) @ bounds))
                 if beta in (5.0, 10.0):  # beta*Omega = 10 and 20
-                    assert len(rejected) == 1
+                    assert len(rejected) == rejected_at[(beta, order)]
                 for value, bound in rejected:
                     assert abs(value - closed(p, w)) <= bound
 
-    def test_no_uniform_point_reaches_the_32_node_rung(self):
-        # 16 nodes resolve the uniform panels up to beta*Omega of about 22,
-        # so a rung below the top one ends the ladder there and a point's
-        # cost does not jump to the 32-node rule inside the uniform range
-        chosen = [d for d in builtin_diagrams() if d.order == 4]
-        for x in (5.0, 20.0):
+    def test_no_uniform_point_needs_a_panel_halving(self):
+        # the two uniform panels are resolved by some rung of the ladder up
+        # to the grading threshold, so a point's cost does not jump to the
+        # halved layout (8x the grid points) inside the uniform range
+        for x in (0.2, 2.0, 5.0, 20.0, 0.999 * GRADING_THRESHOLD):
             p = point_at(x)
             w = solve_gap(p).omega_big
-            for rung, (values, bounds) in enumerate(_rungs(p, w, chosen, "reduced"), 1):
-                if np.all(bounds <= REL_TOL * np.abs(values)):
-                    break
-            assert LADDER[rung] < LADDER[-1]
+            assert p.beta * w <= GRADING_THRESHOLD
+            for order in (2, 3, 4):
+                chosen = [d for d in builtin_diagrams() if d.order == order]
+                for rung, (values, bounds) in enumerate(_rungs(p, w, chosen, "reduced"), 1):
+                    if np.all(bounds <= REL_TOL * np.abs(values)):
+                        break
+                assert rung <= len(LADDER) - 1  # a rung of the first layout
 
     def test_argument_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
