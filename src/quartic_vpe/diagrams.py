@@ -14,17 +14,17 @@ same integrand -- an ordering and its mirror under tau -> beta - tau,
 or orderings with identical edge lists -- are integrated once and
 weighted by their multiplicity.  Each simplex is mapped to the unit
 cube by stick-breaking and integrated with a panel-based Gauss-Legendre
-rule.  The rule is chosen by an embedded error estimate, p before h as
-in QUADPACK (Piessens et al., 1983; Trefethen, *Approximation Theory and
-Approximation Practice*, ch. 19): each panel layout runs a nested ladder
-of 8, 16, 24 and then 32 nodes per panel, each rung's rule being the
-embedded error rule of the next, and the first rung where the two agree to
-the tolerance is accepted.  The panels are halved only when the 24/32 rung
-fails too.  At high and moderate temperature each axis is split into two
-uniform panels.  At low temperature the propagator localizes the
-integrand near the corners, so the panels are graded geometrically toward
-both ends of every axis, each panel about 8 times as wide as its
-neighbour nearer the axis end.
+rule.  The rule is chosen by an embedded error estimate, as in QUADPACK
+(Piessens et al., 1983; Trefethen, *Approximation Theory and
+Approximation Practice*, ch. 19): each point runs a nested ladder of 8,
+16, 24 and then 32 nodes per panel once, on the one panel layout its
+beta*Omega selects, each rung's rule being the embedded error rule of the
+next.  The first rung where the two agree to the tolerance is accepted; if
+the 24/32 rung fails too, the point does not converge.  At high and
+moderate temperature each axis is split into two uniform panels.  At low
+temperature the propagator localizes the integrand near the corners, so
+the panels are graded geometrically toward both ends of every axis, each
+panel about 8 times as wide as its neighbour nearer the axis end.
 """
 
 from __future__ import annotations
@@ -159,16 +159,14 @@ def builtin_diagrams() -> list[DiagramSpec]:
     ]
 
 
-# Relative agreement of a rung with its embedded rule, and panel halvings
-# tried after the first layout.
+# Relative agreement of a rung with its embedded rule.
 REL_TOL = 1e-9
-MAX_REFINEMENTS = 3
 # Gauss-Legendre nodes per panel; each rule is the embedded rule of the next.
 # Even steps keep the cost of a point close to a smooth function of
 # beta*Omega.  On the two uniform panels order 4 ends the ladder on the 8/16
 # rung up to beta*Omega of about 2, on 16/24 up to about 10 and on 24/32 up
 # to the grading threshold (orders 2 and 3 on 8/16 up to about 3, on 24/32
-# only above about 20), so no uniform point needs a panel halving.  The
+# only above about 20), so every uniform point passes on its layout.  The
 # graded panels end on 16/24 at every order and every beta*Omega scanned
 # from 24.1 to 8000.
 LADDER = (8, 16, 24, 32)
@@ -178,16 +176,15 @@ PANELS_PER_DIM = 2
 # ratio 8 0.2-0.3x, and ratio 16 1.2-3x what ratio 8 costs.
 GRADING_RATIO = 8
 # Beyond this beta*Omega the panels are graded toward both axis ends.  The
-# two uniform panels pass on the first layout up to about 25.5 (order 4's
-# estimate is 2e-10 at 24 and 7e-10 at 25.5), then need a halving that costs
-# 1.6x a graded point.
+# two uniform panels pass up to about 25.5 (order 4's estimate is 2e-10 at
+# 24 and 7e-10 at 25.5); beyond that order 4 fails on them.
 GRADING_THRESHOLD = 24.0
 # axis-0 nodes evaluated per product-grid chunk (bounds the working memory)
 CHUNK_NODES = 16
 
 
-def _panel_edges(x: float, level: int) -> np.ndarray:
-    """Panel boundaries in r-space [0, 1], halved ``level`` times.
+def _panel_edges(x: float) -> np.ndarray:
+    """Panel boundaries in r-space [0, 1] for beta*Omega = ``x``.
 
     Beyond the grading threshold the propagator decay length 1/x (in
     units of the axis) is resolved with geometrically shrinking panels
@@ -201,21 +198,16 @@ def _panel_edges(x: float, level: int) -> np.ndarray:
     its mirror are exact; unrounded edges triple the round-off error.
     """
     if x <= GRADING_THRESHOLD:
-        edges = np.linspace(0.0, 1.0, PANELS_PER_DIM + 1)
-    else:
-        mantissa, exponent = math.frexp(max(1.0 / x, 2.0 ** -42))
-        edge = math.ldexp(round(mantissa * 16) / 16, exponent)
-        left = [0.0]
-        while edge < 0.5:
-            left.append(edge)
-            edge *= GRADING_RATIO
-        if 1.0 - left[-1] > GRADING_RATIO * left[-1]:
-            left.append(0.5)
-        edges = np.array(left + [1.0 - e for e in reversed(left) if e < 0.5])
-    for _ in range(level):
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        edges = np.sort(np.concatenate([edges, mids]))
-    return edges
+        return np.linspace(0.0, 1.0, PANELS_PER_DIM + 1)
+    mantissa, exponent = math.frexp(max(1.0 / x, 2.0 ** -42))
+    edge = math.ldexp(round(mantissa * 16) / 16, exponent)
+    left = [0.0]
+    while edge < 0.5:
+        left.append(edge)
+        edge *= GRADING_RATIO
+    if 1.0 - left[-1] > GRADING_RATIO * left[-1]:
+        left.append(0.5)
+    return np.array(left + [1.0 - e for e in reversed(left) if e < 0.5])
 
 
 def _nodes_and_weights(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,9 +222,7 @@ def _nodes_and_weights(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndar
 Ordering = tuple[tuple[tuple[int, int], int], ...]
 
 
-def _slot_orderings(
-    diagram: DiagramSpec, mode: str
-) -> tuple[list[tuple[int, Ordering]], set[tuple[int, int]]]:
+def _slot_orderings(diagram: DiagramSpec, mode: str) -> list[tuple[int, Ordering]]:
     """Time orderings with equal integrands, as (multiplicity, edge list).
 
     Each edge list is written in terms of ordered slots.  Slot 0 is the
@@ -273,13 +263,12 @@ def _slot_orderings(
         if mode == "reduced":
             key = min(key, edge_list({v: (n - k) % n for v, k in slot_of.items()}))
         multiplicity[key] = multiplicity.get(key, 0) + 1
-    needed = {pair for key in multiplicity for pair, _ in key}
-    return [(count, key) for key, count in multiplicity.items()], needed
+    return [(count, key) for key, count in multiplicity.items()]
 
 
 def _integrate_level(
     propagator: Propagator,
-    per_diagram: list[tuple[list[tuple[int, Ordering]], set[tuple[int, int]]]],
+    per_diagram: list[list[tuple[int, Ordering]]],
     dim: int,
     nodes: np.ndarray,
     weights: np.ndarray,
@@ -288,9 +277,9 @@ def _integrate_level(
     """Raw simplex integrals for same-order diagrams on one product grid."""
     beta = propagator.beta
     n_nodes = nodes.size
-    needed_pairs: set[tuple[int, int]] = set()
-    for _, needed in per_diagram:
-        needed_pairs |= needed
+    needed_pairs = {
+        pair for classes in per_diagram for _, edge_slots in classes for pair, _ in edge_slots
+    }
 
     totals = np.zeros(len(per_diagram))
     chunk = CHUNK_NODES if dim > 1 else n_nodes
@@ -326,7 +315,7 @@ def _integrate_level(
             )
             for (a, b) in needed_pairs
         }
-        for index, (classes, _) in enumerate(per_diagram):
+        for index, classes in enumerate(per_diagram):
             for count, edge_slots in classes:
                 product: np.ndarray | None = None
                 for pair, power in edge_slots:
@@ -344,22 +333,21 @@ def _rungs(
     diagrams: list[DiagramSpec],
     mode: str,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(values, |values - embedded|) of each rung of ``LADDER``, then again
-    on panels halved up to ``MAX_REFINEMENTS`` times."""
+    """(values, |values - embedded|) of each rung of ``LADDER`` on the
+    panel layout of ``_panel_edges``."""
     propagator = Propagator(params.m, omega_big, params.beta)
     per_diagram = [_slot_orderings(d, mode) for d in diagrams]
     dim = diagrams[0].order - 1
-    for level in range(MAX_REFINEMENTS + 1):
-        edges = _panel_edges(params.beta * omega_big, level)
-        embedded = None
-        for nodes_per_panel in LADDER:
-            values = _integrate_level(
-                propagator, per_diagram, dim,
-                *_nodes_and_weights(edges, nodes_per_panel), mode,
-            )
-            if embedded is not None:
-                yield values, np.abs(values - embedded)
-            embedded = values
+    edges = _panel_edges(params.beta * omega_big)
+    embedded = None
+    for nodes_per_panel in LADDER:
+        values = _integrate_level(
+            propagator, per_diagram, dim,
+            *_nodes_and_weights(edges, nodes_per_panel), mode,
+        )
+        if embedded is not None:
+            yield values, np.abs(values - embedded)
+        embedded = values
 
 
 def _refined_integrals(
@@ -373,13 +361,17 @@ def _refined_integrals(
     """Sum of ``coeffs`` times the diagrams' simplex integrals.
 
     Accepts the first rung of ``_rungs`` where every diagram's
-    |full - embedded| is at most ``REL_TOL`` times |full|; else raises
+    |full - embedded| is below ``REL_TOL`` times |full|; else raises
     ConvergenceError with the last rung's value and bound
-    sum(|coeffs| * |full - embedded|).  Once the embedded rule resolves the
-    integrand, the difference over-estimates the error of the value
-    returned; an embedded rule of one or two nodes on panels wider than the
-    decay length 1/(beta Omega) could agree with the full rule by accident,
-    so the ladder starts at 8.  One BLAS thread on a 2-core VM, m = omega =
+    sum(|coeffs| * |full - embedded|).  The strict test rejects a rung that
+    integrates to exactly zero, as every rung does once all nodes sit
+    beyond the decay length (beta*Omega above about 2e17).  Round-off grows
+    like beta*Omega*eps and reaches ``REL_TOL`` near beta*Omega = 1e8, so
+    points are certified up to about 4e7 and fail from about 7e7.  Once
+    the embedded rule resolves the integrand, the difference
+    over-estimates the error of the value returned; an embedded rule of
+    one or two nodes on panels wider than the decay length 1/(beta Omega)
+    could agree with the full rule by accident, so the ladder starts at 8.  One BLAS thread on a 2-core VM, m = omega =
     lambda = 1: order 4 costs 3 ms at beta*Omega <= 2 (the 8/16 rung
     passes), 11 ms at 3-10 (16/24) and 28 ms at 12-24 (24/32); on graded
     panels 0.16-0.18 s at beta*Omega 24-64, 0.28 s at 72-128, 0.43-0.5 s
@@ -387,11 +379,11 @@ def _refined_integrals(
     take a few ms.
     """
     for values, bounds in _rungs(params, omega_big, diagrams, mode):
-        if np.all(bounds <= REL_TOL * np.abs(values)):
+        if np.all(bounds < REL_TOL * np.abs(values)):
             return float(np.sum(coeffs * values))
     raise ConvergenceError(
         f"{what} did not stabilize to rel_tol={REL_TOL} "
-        f"within {MAX_REFINEMENTS} refinements",
+        f"on the {LADDER[-2]}/{LADDER[-1]} rung",
         value=float(np.sum(coeffs * values)),
         bound=float(np.sum(np.abs(coeffs) * bounds)),
     )

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, check_frequency
 from .errors import ConvergenceError, ValidationError
 from .variational import solve_gap
 
@@ -73,8 +73,7 @@ def build_hamiltonian(
     Block index j holds the state n = 2j (even) or n = 2j + 1 (odd); each
     block is a dense symmetric matrix with bandwidth 2.
     """
-    if not 0.0 < nu < math.inf:
-        raise ValidationError(f"basis frequency must be positive and finite, got {nu}")
+    check_frequency(nu)
     if n_basis < 8:
         raise ValidationError(f"basis size must be >= 8, got {n_basis}")
     b2 = 1.0 / (2.0 * params.m * nu)

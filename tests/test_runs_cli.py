@@ -477,11 +477,22 @@ class TestCli:
         capsys.readouterr()
 
     def test_non_convergence_exits_2(self, capsys):
-        code = main(["oracle-check", "--beta", "2", "--order", "2",
-                     "--tol", "1e-18"])
+        # at beta*Omega = 2e9 round-off exceeds the quadrature tolerance
+        code = main(["oracle-check", "--beta", "1e9", "--order", "3"])
         assert code == 2
         records = csv_records(capsys.readouterr().out)
-        assert records[0]["status"] == "degraded"
+        assert [r["status"] for r in records] == ["degraded", "degraded"]
+        for record in records:
+            assert "did not stabilize" in record["note"]
+            assert math.isfinite(float(record["quad"]))
+
+    def test_all_zero_quadrature_exits_2(self, capsys):
+        # every node lies beyond the decay length, so every rung is zero
+        code = main(["point", "--quad", "--beta", "1e20", "--order", "2"])
+        assert code == 2
+        (record,) = csv_records(capsys.readouterr().out)
+        assert record["status"] == "degraded"
+        assert "did not stabilize" in record["note"]
 
     def test_c4_finite_at_beta_omega_1e303(self, capsys):
         # 202496 x overflows here; R_4(x)/x = 202496 does not
