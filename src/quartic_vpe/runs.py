@@ -185,7 +185,8 @@ def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
     if quad:
         for order in range(2, max_order + 1):
             column = f"quad{order}"
-            with _degrade_on_convergence_error(kw, f"order-{order} quadrature", column):
+            # the error message names the order already
+            with _degrade_on_convergence_error(kw, "quadrature", column):
                 kw[column] = quad_correction(params, fe.omega_big, order)
     return ResultRow(params=params, **kw)
 

@@ -17,8 +17,16 @@ Their bands come from the closed forms, with b^2 = 1/(2 m nu),
 
 so the truncated matrix is the exact projection of H onto the basis: each
 basis is a principal submatrix of the doubled one, and by Cauchy interlacing
-no eigenvalue rises when the basis doubles.  The free energy is the
-truncated Boltzmann sum
+no eigenvalue rises when the basis doubles.
+
+Both blocks live in one zeroed square buffer, each as the lower triangle of
+a view: the even block below the diagonal, the odd block (transposed) above
+it, so every band is written once and the blocks share no element.  From
+basis ``CONCURRENT_BASIS`` on, the odd block is diagonalized in a worker
+thread while the calling thread does the even one (LAPACK releases the
+GIL); the eigenvalues are the serial ones bit for bit.
+
+The free energy is the truncated Boltzmann sum
 
     F = -T ln sum_K e^{-beta E_K},
 
@@ -33,6 +41,7 @@ variational/series formulas and serves as their end-to-end oracle.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +63,10 @@ DEFAULT_TOL = 1e-9
 # The basis doubles from BASIS_START up to BASIS_CAP.
 BASIS_START = 64
 BASIS_CAP = 2048
+# From this basis size on the parity blocks are diagonalized concurrently.
+# At 512 a worker thread costs more than it saves: 4.0-4.8 ms against
+# 3.8-4.0 ms serially (one BLAS thread, 2-core VM).
+CONCURRENT_BASIS = 1024
 
 
 @dataclass(frozen=True)
@@ -70,8 +83,12 @@ def build_hamiltonian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Even- and odd-parity blocks of H in the (m, nu) oscillator basis.
 
-    Block index j holds the state n = 2j (even) or n = 2j + 1 (odd); each
-    block is a dense symmetric matrix with bandwidth 2.
+    Block index j holds the state n = 2j (even) or n = 2j + 1 (odd).  Both
+    blocks are views of one zeroed (k_even + 1)^2 buffer: ``packed[1:, :k_even]``
+    for the even block and ``packed[:k_odd, 1:k_odd + 1].T`` for the odd one.
+    Only each view's lower triangle holds its block (bandwidth 2); the
+    triangles share no element, and the upper triangles hold the other block.
+    Read them with ``eigvalsh(..., UPLO='L')``, the default.
     """
     check_frequency(nu)
     if n_basis < 8:
@@ -79,29 +96,58 @@ def build_hamiltonian(
     b2 = 1.0 / (2.0 * params.m * nu)
     c2 = 0.5 * params.m * (params.omega**2 - nu**2) * b2
     c4 = params.lam * b2 * b2
-    blocks = []
-    for parity in (0, 1):
+    k_even, k_odd = (n_basis + 1) // 2, n_basis // 2
+    packed = np.zeros((k_even + 1, k_even + 1))
+    even, odd = packed[1:, :k_even], packed[:k_odd, 1 : k_odd + 1].T
+    for parity, h in ((0, even), (1, odd)):
         n = np.arange(parity, n_basis, 2, dtype=float)
         r2 = np.sqrt((n + 1.0) * (n + 2.0))  # <n|(a + a^dagger)^2|n+2>
-        k = len(n)
-        h = np.zeros((k, k))
         bands = (
             nu * (n + 0.5) + c2 * (2.0 * n + 1.0) + c4 * (6.0 * n * n + 6.0 * n + 3.0),
             (c2 + c4 * (4.0 * n[:-1] + 6.0)) * r2[:-1],
             c4 * r2[:-2] * r2[1:-1],
         )
         for offset, band in enumerate(bands):
-            i = np.arange(k - offset)
-            h[i, i + offset] = band
+            i = np.arange(len(n) - offset)
             h[i + offset, i] = band
-        blocks.append(h)
-    return blocks[0], blocks[1]
+    return even, odd
+
+
+def _eigvalsh_concurrently(even: np.ndarray, odd: np.ndarray) -> list[np.ndarray]:
+    """eigvalsh of both blocks, the odd one in a worker thread joined here."""
+    odd_result = []
+
+    def solve_odd():
+        try:
+            odd_result.append(np.linalg.eigvalsh(odd))
+        except BaseException as exc:  # re-raised in the calling thread
+            odd_result.append(exc)
+
+    worker = threading.Thread(target=solve_odd, name="eigvalsh-odd")
+    worker.start()
+    try:
+        even_eigs = np.linalg.eigvalsh(even)
+    finally:
+        worker.join()
+    (odd_eigs,) = odd_result
+    if isinstance(odd_eigs, BaseException):
+        raise odd_eigs
+    return [even_eigs, odd_eigs]
 
 
 def diagonalize(params: ModelParams, nu: float, n_basis: int) -> np.ndarray:
-    """Sorted eigenvalues of H truncated to the lowest n_basis oscillator states."""
+    """Sorted eigenvalues of H truncated to the lowest n_basis oscillator states.
+
+    From ``CONCURRENT_BASIS`` on, the odd block is diagonalized in a worker
+    thread while the calling thread does the even one; the worker is joined
+    before this returns, and an error it raises is raised here.
+    """
     even, odd = build_hamiltonian(params, nu, n_basis)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
+    if n_basis >= CONCURRENT_BASIS:
+        eigs = _eigvalsh_concurrently(even, odd)
+    else:
+        eigs = [np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]
+    return np.sort(np.concatenate(eigs))
 
 
 def _boltzmann_free_energy(eigs: np.ndarray, beta: float) -> tuple[float, int]:

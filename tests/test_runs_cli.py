@@ -120,17 +120,18 @@ class TestOneRowPipeline:
 
     def test_quadrature_failure_keeps_partial_value(self, monkeypatch):
         def unconverged(params, omega_big, order):
-            raise ConvergenceError("not converged", value=-0.01, bound=1e-3)
+            raise ConvergenceError(f"order-{order} quadrature not converged",
+                                   value=-0.01, bound=1e-3)
 
         monkeypatch.setattr(runs, "quad_correction", unconverged)
         row = run_point(self.PARAMS, max_order=3, quad=True)
         assert row.status == STATUS_DEGRADED
         assert (row.quad2, row.quad3, row.quad4) == (-0.01, -0.01, None)
-        assert row.note == ("order-2 quadrature: not converged; "
-                            "order-3 quadrature: not converged")
+        assert row.note == ("quadrature: order-2 quadrature not converged; "
+                            "quadrature: order-3 quadrature not converged")
         (check,) = run_oracle_check(self.PARAMS, max_order=2)
         assert check.status == STATUS_DEGRADED
-        assert check.note == "quadrature: not converged"
+        assert check.note == "quadrature: order-2 quadrature not converged"
         assert check.quad == -0.01
         assert check.rel_err == abs(-0.01 - check.closed) / abs(check.closed)
 
@@ -493,6 +494,7 @@ class TestCli:
         (record,) = csv_records(capsys.readouterr().out)
         assert record["status"] == "degraded"
         assert "did not stabilize" in record["note"]
+        assert record["note"].count("order-2") == 1
 
     def test_c4_finite_at_beta_omega_1e303(self, capsys):
         # 202496 x overflows here; R_4(x)/x = 202496 does not

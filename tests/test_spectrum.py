@@ -1,6 +1,11 @@
 """Diagonalization oracle: matrix structure, convergence, thermodynamics."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,14 +24,46 @@ from quartic_vpe.variational import solve_gap
 RNG = np.random.default_rng(1729)
 
 
+def symmetric(block):
+    """The symmetric matrix a block view's lower triangle stands for."""
+    return np.tril(block) + np.tril(block, -1).T
+
+
+def dense_blocks(params, nu, n_basis):
+    """Reference build: the parity blocks as separate dense symmetric matrices."""
+    b2 = 1.0 / (2.0 * params.m * nu)
+    c2 = 0.5 * params.m * (params.omega**2 - nu**2) * b2
+    c4 = params.lam * b2 * b2
+    blocks = []
+    for parity in (0, 1):
+        n = np.arange(parity, n_basis, 2, dtype=float)
+        r2 = np.sqrt((n + 1.0) * (n + 2.0))
+        k = len(n)
+        h = np.zeros((k, k))
+        bands = (
+            nu * (n + 0.5) + c2 * (2.0 * n + 1.0) + c4 * (6.0 * n * n + 6.0 * n + 3.0),
+            (c2 + c4 * (4.0 * n[:-1] + 6.0)) * r2[:-1],
+            c4 * r2[:-2] * r2[1:-1],
+        )
+        for offset, band in enumerate(bands):
+            i = np.arange(k - offset)
+            h[i, i + offset] = band
+            h[i + offset, i] = band
+        blocks.append(h)
+    return blocks
+
+
 class TestHamiltonian:
     def test_blocks_symmetric_and_pentadiagonal(self):
+        # each block is the lower triangle of its view: its symmetric
+        # completion is the dense symmetric block, bit for bit
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
         for n_basis in (40, 41):
             even, odd = build_hamiltonian(p, nu=2.0, n_basis=n_basis)
             assert even.shape[0] + odd.shape[0] == n_basis
-            for h in (even, odd):
-                assert np.array_equal(h, h.T)
+            for view, dense in zip((even, odd), dense_blocks(p, 2.0, n_basis)):
+                h = symmetric(view)
+                assert np.array_equal(h, dense)
                 # x^4 connects |n> to |n +/- 4> at most: block offset 2
                 rows, cols = np.nonzero(h)
                 assert np.max(np.abs(rows - cols)) == 2
@@ -45,12 +82,23 @@ class TestHamiltonian:
         h = np.diag(nu * (n + 0.5)) + 0.5 * p.m * (p.omega**2 - nu**2) * x2 + p.lam * x4
         # H never couples even and odd states
         assert not h[0::2, 1::2].any()
-        for parity, block in zip((0, 1), build_hamiltonian(p, nu, n_basis)):
+        for parity, view in zip((0, 1), build_hamiltonian(p, nu, n_basis)):
+            block = symmetric(view)
             dense = h[parity::2, parity::2]
             rows = (n[parity::2] < n_basis - 4).sum()
             diff = np.abs(block - dense)[:rows]
             assert np.all(diff <= 1e-13 * np.abs(dense[:rows]))
             assert np.any(block[rows:] != dense[rows:])
+
+    def test_blocks_share_one_buffer_in_disjoint_triangles(self):
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
+        for n_basis in (40, 41):
+            even, odd = build_hamiltonian(p, nu=2.0, n_basis=n_basis)
+            assert np.shares_memory(even, odd)
+            # writing one block's triangle leaves the other's untouched
+            before = np.tril(odd).copy()
+            even[np.tril_indices(len(even))] = np.nan
+            assert np.array_equal(np.tril(odd), before)
 
     def test_eigenvalues_interlace_under_doubling(self):
         # the n basis is a principal submatrix of the 2n one, so no
@@ -77,6 +125,81 @@ class TestHamiltonian:
                 build_hamiltonian(p, nu=nu, n_basis=32)
         with pytest.raises(ValidationError):
             build_hamiltonian(p, nu=1.0, n_basis=4)
+
+
+class TestConcurrentEigensolve:
+    PARAMS = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=0.01)
+    NU = 1.7
+
+    @pytest.mark.parametrize("n_basis", [512, 1024, 1025, 2048])
+    def test_bitwise_equal_to_serial_reference(self, n_basis):
+        # 512 runs serially, 1024 and up concurrently; 1025 has blocks of
+        # different sizes (513 and 512)
+        reference = np.sort(np.concatenate(
+            [np.linalg.eigvalsh(h) for h in dense_blocks(self.PARAMS, self.NU, n_basis)]
+        ))
+        eigs = diagonalize(self.PARAMS, self.NU, n_basis)
+        assert eigs.tobytes() == reference.tobytes()
+
+    def test_odd_block_runs_in_a_worker_from_the_threshold(self, monkeypatch):
+        threads = {}
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(h):
+            threads[len(h)] = threading.current_thread()
+            return eigvalsh(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        n = spectrum.CONCURRENT_BASIS
+        diagonalize(self.PARAMS, self.NU, n - 1)  # blocks of n/2 and n/2 - 1
+        assert threads[n // 2] is threads[n // 2 - 1] is threading.main_thread()
+        diagonalize(self.PARAMS, self.NU, n + 1)  # blocks of n/2 + 1 and n/2
+        assert threads[n // 2 + 1] is threading.main_thread()
+        assert threads[n // 2] is not threading.main_thread()
+
+    def test_worker_error_is_raised_and_worker_joined(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def failing_odd(h):
+            if len(h) == 512:  # the odd block of a 1025 basis
+                raise np.linalg.LinAlgError("odd block did not converge")
+            return eigvalsh(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_odd)
+        started = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="odd block"):
+            diagonalize(self.PARAMS, self.NU, 1025)
+        assert threading.active_count() == started
+
+    def test_concurrent_callers_agree_with_a_serial_call(self):
+        # more caller threads than cores, each with its own worker per
+        # eigensolve; T = 100 reaches basis 1024
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / 100.0)
+        serial = exact_free_energy(p)
+        assert serial.basis_size >= spectrum.CONCURRENT_BASIS
+        results = [None] * 4
+
+        def call(slot):
+            results[slot] = exact_free_energy(p)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+        for res in results:
+            assert res.value.hex() == serial.value.hex()
+            assert res.step.hex() == serial.step.hex()
+            assert res.basis_size == serial.basis_size
+
+    def test_import_starts_no_thread(self):
+        code = ("import threading, quartic_vpe.cli, sys; "
+                "assert threading.active_count() == 1; "
+                "assert 'concurrent.futures' not in sys.modules")
+        src = str(Path(spectrum.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestSpectrum:
