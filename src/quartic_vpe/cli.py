@@ -23,6 +23,11 @@ Subcommands
 
 Exit codes: 0 success; 1 invalid request; 2 a numerical result failed to
 converge (the affected rows are still emitted, marked degraded).
+
+``main`` builds the parser on its first call and reuses it for every later
+call in the process; importing this module builds none.  The ``run_*``
+drivers and ``render_rows`` are looked up in this module at call time, not
+bound into the parser, so a name replaced after import is the one called.
 """
 
 from __future__ import annotations
@@ -90,6 +95,7 @@ def _add_order_flag(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the whole command line."""
     parser = _Parser(
         prog="quartic-vpe",
         description="Free energy of the quartic anharmonic oscillator by "
@@ -210,9 +216,16 @@ def _dispatch(args) -> list:
     raise ValidationError(f"unknown command {args.command!r}")
 
 
+# Built by the first main() call and shared by the later ones: parsing
+# leaves a parser unchanged, so no call sees another call's arguments.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         rows = _dispatch(args)
         text = render_rows(rows, args.format)

@@ -124,19 +124,21 @@ class ResultRow:
                                 ("mass", params.m), ("beta", params.beta),
                                 ("temp", params.temperature)):
                 object.__setattr__(self, name, value)
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                if not math.isfinite(v):
-                    raise ValidationError(
-                        f"row field {f.name} must be finite, got {v!r}"
-                    )
+        # ints and bools are always finite
+        for name in _ROW_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValidationError(f"row field {name} must be finite, got {v!r}")
         # after the check, so an overflowed temp is named as such; rescale
         # validates the pair it returns
         if params is not None and params.m == 1.0:
             rp = rescale(params)
             object.__setattr__(self, "z", rp.z)
             object.__setattr__(self, "t_reduced", rp.t_reduced)
+
+
+# the column order, read once: dataclasses.fields() is slow per row
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 def _degrade(kw: dict, note: str) -> None:
@@ -341,8 +343,8 @@ def run_oracle_check(params: ModelParams, *, max_order: int = 4,
 
 
 def _active_columns(rows: list[ResultRow]) -> list[str]:
-    return [f.name for f in fields(ResultRow)
-            if any(getattr(r, f.name) is not None for r in rows)]
+    return [name for name in _ROW_FIELDS
+            if any(getattr(r, name) is not None for r in rows)]
 
 
 def _cell(value) -> str:
@@ -378,10 +380,10 @@ def _render_json(rows: list[ResultRow]) -> str:
     objs = []
     for r in rows:
         obj = {}
-        for f in fields(ResultRow):
-            v = getattr(r, f.name)
+        for name in _ROW_FIELDS:
+            v = getattr(r, name)
             if v is not None:
-                obj[f.name] = v
+                obj[name] = v
         objs.append(obj)
     return json.dumps(objs, indent=2) + "\n"
 

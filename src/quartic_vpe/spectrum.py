@@ -21,10 +21,13 @@ no eigenvalue rises when the basis doubles.
 
 Both blocks live in one zeroed square buffer, each as the lower triangle of
 a view: the even block below the diagonal, the odd block (transposed) above
-it, so every band is written once and the blocks share no element.  From
-basis ``CONCURRENT_BASIS`` on, the odd block is diagonalized in a worker
-thread while the calling thread does the even one (LAPACK releases the
-GIL); the eigenvalues are the serial ones bit for bit.
+it, so every band is written once and the blocks share no element.  In the
+flat buffer each band of each block is a run of stride k_even + 2, so the
+three bands are computed once over all n and each block's half of a band
+(every second n) is written as one strided slice.  From basis
+``CONCURRENT_BASIS`` on, the odd block is diagonalized in a worker thread
+while the calling thread does the even one (LAPACK releases the GIL); the
+eigenvalues are the serial ones bit for bit.
 
 The free energy is the truncated Boltzmann sum
 
@@ -89,6 +92,10 @@ def build_hamiltonian(
     Only each view's lower triangle holds its block (bandwidth 2); the
     triangles share no element, and the upper triangles hold the other block.
     Read them with ``eigvalsh(..., UPLO='L')``, the default.
+
+    The three bands are computed once over n = 0 ... n_basis - 1; in the flat
+    buffer band b of either block is a run of stride k_even + 2, so each
+    block's entries (n even or n odd) go in with one strided slice write.
     """
     check_frequency(nu)
     if n_basis < 8:
@@ -98,19 +105,24 @@ def build_hamiltonian(
     c4 = params.lam * b2 * b2
     k_even, k_odd = (n_basis + 1) // 2, n_basis // 2
     packed = np.zeros((k_even + 1, k_even + 1))
-    even, odd = packed[1:, :k_even], packed[:k_odd, 1 : k_odd + 1].T
-    for parity, h in ((0, even), (1, odd)):
-        n = np.arange(parity, n_basis, 2, dtype=float)
-        r2 = np.sqrt((n + 1.0) * (n + 2.0))  # <n|(a + a^dagger)^2|n+2>
-        bands = (
-            nu * (n + 0.5) + c2 * (2.0 * n + 1.0) + c4 * (6.0 * n * n + 6.0 * n + 3.0),
-            (c2 + c4 * (4.0 * n[:-1] + 6.0)) * r2[:-1],
-            c4 * r2[:-2] * r2[1:-1],
-        )
-        for offset, band in enumerate(bands):
-            i = np.arange(len(n) - offset)
-            h[i + offset, i] = band
-    return even, odd
+    n = np.arange(n_basis, dtype=float)
+    r2 = np.sqrt((n + 1.0) * (n + 2.0))  # <n|(a + a^dagger)^2|n+2>
+    # band b couples |n> and |n + 2b>, for n = 0 ... n_basis - 1 - 2b
+    bands = (
+        nu * (n + 0.5) + c2 * (2.0 * n + 1.0) + c4 * (6.0 * n * n + 6.0 * n + 3.0),
+        (c2 + c4 * (4.0 * n[:-2] + 6.0)) * r2[:-2],
+        c4 * r2[:-4] * r2[2:-2],
+    )
+    # Element (j + b, j) of either block sits at flat index start + j * stride:
+    # even (1 + j + b, j) has start (1 + b) * (k_even + 1), odd (j, 1 + j + b)
+    # has start 1 + b.
+    flat = packed.reshape(-1)
+    stride = k_even + 2
+    for b, band in enumerate(bands):
+        for parity, start in ((0, (1 + b) * (k_even + 1)), (1, 1 + b)):
+            values = band[parity::2]
+            flat[start : start + stride * len(values) : stride] = values
+    return packed[1:, :k_even], packed[:k_odd, 1 : k_odd + 1].T
 
 
 def _eigvalsh_concurrently(even: np.ndarray, odd: np.ndarray) -> list[np.ndarray]:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from quartic_vpe import cli
 from quartic_vpe.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -65,13 +66,45 @@ def run_case(argv):
     return code, out.getvalue()
 
 
+def golden(name):
+    return (GOLDEN_DIR / f"{name}.out").read_bytes().decode("utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name):
     argv, expected_code = CASES[name]
     code, text = run_case(argv)
     assert code == expected_code
-    golden = (GOLDEN_DIR / f"{name}.out").read_bytes().decode("utf-8")
-    assert text == golden
+    assert text == golden(name)
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    # main() reuses its parser: nothing a call parses, or fails to parse,
+    # may reach a later call
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    usage_errors = (["no-such-command"], ["point", "--beta", "2", "--temp", "0.5"],
+                    ["sweep", "--var", "x", "--from", "1", "--to", "2"])
+    names = sorted(CASES)
+    for i, name in enumerate([*reversed(names), *names]):
+        argv, expected_code = CASES[name]
+        assert run_case(argv) == (expected_code, golden(name)), name
+        with pytest.raises(SystemExit) as exc:
+            run_case(usage_errors[i % len(usage_errors)])
+        assert exc.value.code == 1
+        assert run_case(["point", "--order", "0", "--beta", "1e-310"]) == (1, "")
+    code, text = run_case(["point", "--exact"])
+    assert code == 0 and "exact" in text.partition("\n")[0].split(",")
+    code, text = run_case(["point"])
+    assert code == 0 and "exact" not in text.partition("\n")[0].split(",")
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("argv", [["table1", "--exact"],

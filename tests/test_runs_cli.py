@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,9 @@ rng = np.random.default_rng(20260823)
 
 
 COORDINATES = ("lam", "omega", "mass", "beta", "temp", "z", "t_reduced")
+# the float columns a caller may pass to ResultRow
+FLOAT_ARGUMENTS = [f.name for f in fields(ResultRow)
+                   if f.init and f.type == "float | None"]
 
 
 def csv_columns(text):
@@ -53,6 +60,22 @@ class TestResultRow:
         with pytest.raises(ValidationError,
                            match="^row field temp must be finite, got inf$"):
             ResultRow(params=ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e-310))
+
+    def test_float_arguments_cover_every_numeric_argument(self):
+        arguments = {f.name for f in fields(ResultRow) if f.init}
+        assert arguments - set(FLOAT_ARGUMENTS) == {"order", "status", "note"}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", FLOAT_ARGUMENTS)
+    def test_every_float_argument_must_be_finite(self, name, value):
+        message = f"row field {name} must be finite, got {value!r}"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ResultRow(**{name: value})
+
+    def test_int_and_string_fields_accepted(self):
+        row = ResultRow(order=4, status=STATUS_DEGRADED, note="inf")
+        assert (row.order, row.status, row.note) == (4, STATUS_DEGRADED, "inf")
 
     def test_reduced_coordinates_filled_for_unit_mass(self):
         row = ResultRow(params=ModelParams(m=1.0, omega=math.sqrt(20.0),
@@ -503,6 +526,31 @@ class TestCli:
         assert main(argv) == 0
         (obj,) = json.loads(capsys.readouterr().out)
         assert math.isfinite(obj["f4"])
+
+    def test_import_builds_no_parser(self):
+        # the parser is built by the first main() call, so importing the
+        # package costs every library user nothing for it
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import quartic_vpe, quartic_vpe.cli\n"
+            "print(len(built))\n"
+            "quartic_vpe.cli.build_parser()\n"
+            "print(len(built) > 0)\n"
+        )
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        # the second line shows the count sees a parser being built
+        assert run.stdout.split() == ["0", "True"]
 
     def test_figure_data_series(self, capsys):
         assert main(["fig2", "--points", "2"]) == 0

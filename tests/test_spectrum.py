@@ -53,20 +53,40 @@ def dense_blocks(params, nu, n_basis):
     return blocks
 
 
+def packed_layout(even, odd):
+    """The one buffer holding both dense blocks' lower triangles.
+
+    Even element (i, j) sits at (1 + i, j) and odd element (i, j) at
+    (j, 1 + i), so the even triangle lies below the diagonal, the odd one
+    above it, and the diagonal stays zero.
+    """
+    k_even, k_odd = len(even), len(odd)
+    packed = np.zeros((k_even + 1, k_even + 1))
+    i, j = np.tril_indices(k_even)
+    packed[1 + i, j] = even[i, j]
+    i, j = np.tril_indices(k_odd)
+    packed[j, 1 + i] = odd[i, j]
+    return packed
+
+
 class TestHamiltonian:
     def test_blocks_symmetric_and_pentadiagonal(self):
         # each block is the lower triangle of its view: its symmetric
         # completion is the dense symmetric block, bit for bit
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
-        for n_basis in (40, 41):
+        for n_basis in (8, 9, 40, 41, 64, 65, 128, 129):
             even, odd = build_hamiltonian(p, nu=2.0, n_basis=n_basis)
             assert even.shape[0] + odd.shape[0] == n_basis
-            for view, dense in zip((even, odd), dense_blocks(p, 2.0, n_basis)):
+            dense = dense_blocks(p, 2.0, n_basis)
+            for view, block in zip((even, odd), dense):
                 h = symmetric(view)
-                assert np.array_equal(h, dense)
+                assert np.array_equal(h, block)
                 # x^4 connects |n> to |n +/- 4> at most: block offset 2
                 rows, cols = np.nonzero(h)
                 assert np.max(np.abs(rows - cols)) == 2
+            # the whole buffer, zeros included, is the reference layout: a
+            # band written one slot off lands in a zero or another band
+            assert np.array_equal(even.base, packed_layout(*dense))
 
     def test_bands_match_matrix_products(self):
         # the closed-form bands against x^2 = x @ x and x^4 = x^2 @ x^2 from
