@@ -210,10 +210,9 @@ def _dispatch(args) -> list:
                          args.stop, args.points,
                          max_order=args.order, exact=args.exact,
                          quad=args.quad, log_spacing=args.log)
-    if args.command == "oracle-check":
-        return run_oracle_check(_resolve_point(args), max_order=args.order,
-                                tol=args.tol)
-    raise ValidationError(f"unknown command {args.command!r}")
+    # the subparsers are required, so the one command left is oracle-check
+    return run_oracle_check(_resolve_point(args), max_order=args.order,
+                            tol=args.tol)
 
 
 # Built by the first main() call and shared by the later ones: parsing

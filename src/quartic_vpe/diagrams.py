@@ -371,12 +371,12 @@ def _refined_integrals(
     the embedded rule resolves the integrand, the difference
     over-estimates the error of the value returned; an embedded rule of
     one or two nodes on panels wider than the decay length 1/(beta Omega)
-    could agree with the full rule by accident, so the ladder starts at 8.  One BLAS thread on a 2-core VM, m = omega =
-    lambda = 1: order 4 costs 3 ms at beta*Omega <= 2 (the 8/16 rung
-    passes), 11 ms at 3-10 (16/24) and 28 ms at 12-24 (24/32); on graded
-    panels 0.16-0.18 s at beta*Omega 24-64, 0.28 s at 72-128, 0.43-0.5 s
-    at 160-400, 1.3 s at 1000 and about 2 s at 1600-8000; orders 2 and 3
-    take a few ms.
+    could agree with the full rule by accident, so the ladder starts at 8.
+    One BLAS thread on a 2-core VM, m = omega = lambda = 1: order 4 costs
+    3 ms at beta*Omega <= 2 (the 8/16 rung passes), 11 ms at 3-10 (16/24)
+    and 28 ms at 12-24 (24/32); on graded panels 0.16-0.18 s at beta*Omega
+    24-64, 0.28 s at 72-128, 0.43-0.5 s at 160-400, 1.3 s at 1000 and
+    about 2 s at 1600-8000; orders 2 and 3 take a few ms.
     """
     for values, bounds in _rungs(params, omega_big, diagrams, mode):
         if np.all(bounds < REL_TOL * np.abs(values)):

@@ -101,8 +101,9 @@ _FACTORS = {2: _factor_2, 3: _factor_3, 4: _factor_4}
 def _in_double_range(what: str, x: float):
     """Report a float overflow or an underflow to zero divisor as a ValidationError.
 
-    Products that overflow come out as +-inf instead; a row holding one is
-    rejected when it is built.
+    Products and quotients that overflow come out as +-inf instead of
+    raising; ``_finite`` turns such a result into an OverflowError, so it is
+    reported here too, before any oracle runs on it.
     """
     try:
         yield
@@ -110,6 +111,13 @@ def _in_double_range(what: str, x: float):
         raise ValidationError(
             f"{what} is outside double precision at beta*Omega = {x:.3g}"
         ) from None
+
+
+def _finite(value: float) -> float:
+    """value, or an OverflowError for an inf or nan left by float arithmetic."""
+    if not math.isfinite(value):
+        raise OverflowError
+    return value
 
 
 def temperature_factor(order: int, x: float) -> float:
@@ -123,7 +131,7 @@ def temperature_factor(order: int, x: float) -> float:
     if not (x > 0.0) or not math.isfinite(x):
         raise ValidationError(f"x = beta*Omega must be positive and finite, got {x}")
     with _in_double_range(f"R_{order}", x):
-        return _FACTORS[order](x)
+        return _finite(_FACTORS[order](x))
 
 
 def c2_closed(params: ModelParams, omega_big: float) -> float:
@@ -133,7 +141,7 @@ def c2_closed(params: ModelParams, omega_big: float) -> float:
     x = params.beta * omega_big
     with _in_double_range("c2", x):
         pref = -3.0 * lam * lam / (64.0 * m**4 * omega_big**5)
-        return pref * _factor_2(x)
+        return _finite(pref * _factor_2(x))
 
 
 def c3_closed(params: ModelParams, omega_big: float) -> float:
@@ -143,7 +151,7 @@ def c3_closed(params: ModelParams, omega_big: float) -> float:
     x = params.beta * omega_big
     with _in_double_range("c3", x):
         pref = 9.0 * lam**3 / (512.0 * m**6 * omega_big**8)
-        return pref * _factor_3(x)
+        return _finite(pref * _factor_3(x))
 
 
 def c4_closed(params: ModelParams, omega_big: float) -> float:
@@ -160,7 +168,7 @@ def c4_closed(params: ModelParams, omega_big: float) -> float:
     x = params.beta * omega_big
     with _in_double_range("c4", x):
         pref = -3.0 * lam**4 / (32768.0 * m**8 * omega_big**11)
-        return pref * (202496.0 if x > X_ASYMPTOTIC else _factor_4(x) / x)
+        return _finite(pref * (202496.0 if x > X_ASYMPTOTIC else _factor_4(x) / x))
 
 
 _CORRECTIONS = {2: c2_closed, 3: c3_closed, 4: c4_closed}

@@ -25,9 +25,9 @@ it, so every band is written once and the blocks share no element.  In the
 flat buffer each band of each block is a run of stride k_even + 2, so the
 three bands are computed once over all n and each block's half of a band
 (every second n) is written as one strided slice.  From basis
-``CONCURRENT_BASIS`` on, the odd block is diagonalized in a worker thread
-while the calling thread does the even one (LAPACK releases the GIL); the
-eigenvalues are the serial ones bit for bit.
+``CONCURRENT_BASIS`` on, the odd block is diagonalized on a
+``concurrent.futures`` worker while the calling thread does the even one
+(LAPACK releases the GIL); the eigenvalues are the serial ones bit for bit.
 
 The free energy is the truncated Boltzmann sum
 
@@ -44,7 +44,6 @@ variational/series formulas and serves as their end-to-end oracle.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,38 +124,22 @@ def build_hamiltonian(
     return packed[1:, :k_even], packed[:k_odd, 1 : k_odd + 1].T
 
 
-def _eigvalsh_concurrently(even: np.ndarray, odd: np.ndarray) -> list[np.ndarray]:
-    """eigvalsh of both blocks, the odd one in a worker thread joined here."""
-    odd_result = []
-
-    def solve_odd():
-        try:
-            odd_result.append(np.linalg.eigvalsh(odd))
-        except BaseException as exc:  # re-raised in the calling thread
-            odd_result.append(exc)
-
-    worker = threading.Thread(target=solve_odd, name="eigvalsh-odd")
-    worker.start()
-    try:
-        even_eigs = np.linalg.eigvalsh(even)
-    finally:
-        worker.join()
-    (odd_eigs,) = odd_result
-    if isinstance(odd_eigs, BaseException):
-        raise odd_eigs
-    return [even_eigs, odd_eigs]
-
-
 def diagonalize(params: ModelParams, nu: float, n_basis: int) -> np.ndarray:
     """Sorted eigenvalues of H truncated to the lowest n_basis oscillator states.
 
-    From ``CONCURRENT_BASIS`` on, the odd block is diagonalized in a worker
-    thread while the calling thread does the even one; the worker is joined
-    before this returns, and an error it raises is raised here.
+    From ``CONCURRENT_BASIS`` on, the odd block is diagonalized on a
+    ``concurrent.futures`` worker while the calling thread does the even one;
+    the worker is joined before this returns, and an error it raises is
+    raised here.
     """
     even, odd = build_hamiltonian(params, nu, n_basis)
     if n_basis >= CONCURRENT_BASIS:
-        eigs = _eigvalsh_concurrently(even, odd)
+        # not imported at the top: concurrent.futures pulls in logging, ~20 ms cold
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            odd_eigs = pool.submit(np.linalg.eigvalsh, odd)
+            eigs = [np.linalg.eigvalsh(even), odd_eigs.result()]
     else:
         eigs = [np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]
     return np.sort(np.concatenate(eigs))

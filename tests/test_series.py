@@ -200,6 +200,16 @@ class TestClosedCorrections:
             href = harmonic_free_energy(om, beta)
             assert abs(s.f4 - href) < 1e-12 * max(1.0, abs(href))
 
+    def test_infinite_result_is_a_validation_error(self):
+        # beta*Omega = 1.86e-75, below c4's floor: the pole quotient
+        # overflows to inf without raising
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e-100)
+        omega_big = solve_gap(p).omega_big
+        with pytest.raises(ValidationError, match=r"^c4 is outside double precision"):
+            c4_closed(p, omega_big)
+        with pytest.raises(ValidationError, match=r"^R_2 is outside double precision"):
+            temperature_factor(2, 1e-103)
+
     def test_omega_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
         for bad in (0.0, -2.0, math.nan, math.inf):

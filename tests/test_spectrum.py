@@ -191,6 +191,20 @@ class TestConcurrentEigensolve:
             diagonalize(self.PARAMS, self.NU, 1025)
         assert threading.active_count() == started
 
+    def test_caller_error_is_raised_and_worker_joined(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def failing_even(h):
+            if len(h) == 513:  # the even block of a 1025 basis
+                raise np.linalg.LinAlgError("even block did not converge")
+            return eigvalsh(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_even)
+        started = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="even block"):
+            diagonalize(self.PARAMS, self.NU, 1025)
+        assert threading.active_count() == started
+
     def test_concurrent_callers_agree_with_a_serial_call(self):
         # more caller threads than cores, each with its own worker per
         # eigensolve; T = 100 reaches basis 1024

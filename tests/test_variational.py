@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from quartic_vpe import variational
+from quartic_vpe import runs, variational
 from quartic_vpe.cli import main
 from quartic_vpe.core import ModelParams, coth_half
 from quartic_vpe.errors import ConvergenceError, ValidationError
@@ -202,11 +202,31 @@ class TestOutOfRangeCli:
         ["point", "--beta", "1e-100"],
         ["point", "--omega", "1e200"],
         ["point", "--lambda", "1e300", "--mass", "1e-300", "--order", "0"],
+        ["point", "--quad", "--beta", "1e-100"],
+        ["oracle-check", "--beta", "1e-100"],
     ])
     def test_one_error_line(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["point", "--quad", "--beta", "1e-100"],
+        ["oracle-check", "--beta", "1e-100"],
+        ["sweep", "--var", "beta", "--from", "1e-100", "--to", "1",
+         "--points", "3", "--log", "--quad"],
+    ])
+    def test_correction_below_its_floor_stops_before_the_quadrature(
+            self, argv, capsys, monkeypatch):
+        # beta*Omega = 1.86e-75 is below c4's floor of 1e-59: c4 overflows
+        # to -inf, which series reports before any quadrature runs on it
+        calls = []
+        monkeypatch.setattr(runs, "quad_correction",
+                            lambda *args: calls.append(args))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: c4 is outside double precision at beta*Omega = 1.86e-75\n")
+        assert calls == []
 
     def test_tiny_beta_keeps_f0(self, capsys):
         # high-temperature limit at m = omega = lambda = 1: coth(x/2) -> 2/x
