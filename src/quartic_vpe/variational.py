@@ -36,12 +36,9 @@ __all__ = [
     "solve_gap",
 ]
 
-# The solver stops once the scaled residual is within STOP_ULPS ulp of its
-# largest term, or once its bracket has shrunk to adjacent floats.
+# The solver stops once the scaled residual is within STOP_ULPS ulp of its largest term.
 STOP_ULPS = 4.0
-# Hard caps: halvings/doublings that may correct the analytic bracket for
-# round-off, and Newton-or-bisection steps (bisection alone needs about 55).
-MAX_BRACKET_STEPS = 64
+# Hard cap on Newton steps; the climb from the lower bound takes at most 7.
 MAX_STEPS = 100
 
 
@@ -114,68 +111,46 @@ def _scaled_residual(params: ModelParams, a: float, om: float) -> tuple[float, f
 
 
 def _solve(params: ModelParams) -> tuple[float, float, int]:
-    """Safeguarded Newton on rho inside a bracket rho(lo) < 0 < rho(hi).
+    """Newton on rho from the analytic lower bound L of its root.
 
-    Returns (Omega, rho(Omega), residual evaluations).  The start bracket is
-    analytic: with coth(x/2) between max(1, 2/x) and 1 + 2/x, the root lies in
-    [L, sqrt(3) L] for L = max(omega, a^(1/3), (2a/beta)^(1/4)).  rho is
-    concave, so Newton from L climbs monotonically; a step that leaves the
-    bracket is replaced by bisection.
+    Returns (Omega, rho(Omega), residual evaluations).  With coth(x/2)
+    between max(1, 2/x) and 1 + 2/x, the root lies in [L, sqrt(3) L] for
+    L = max(omega, a^(1/3), (2a/beta)^(1/4)): rho(L) <= 0, and
+    rho(sqrt(3) L) >= 1 - 1/3 - 1/(3 sqrt 3) - 1/9 ~ 0.36.  rho is increasing
+    and concave: -omega^2/Omega^2 is concave, and coth(beta Omega/2)/Omega^3
+    is a product of two positive, decreasing, convex functions.  So Newton
+    from any point at or left of the root climbs monotonically and never
+    overshoots.  In floats a ** (1/3) can put L a few 1e-14 above the root
+    (a < 1); the first step then lands at or below it.  sqrt(3) L is never
+    evaluated: it only bounds the error at the step cap.
     """
     a = _representable(params)
     lo = max(params.omega, a ** (1.0 / 3.0), 2.0**0.25 * a**0.25 / params.beta**0.25)
-    hi = math.sqrt(3.0) * lo
-    evals = 0
-
-    def residual(om):
-        nonlocal evals
-        evals += 1
-        return _scaled_residual(params, a, om)
-
-    r_lo, r_hi = residual(lo)[0], residual(hi)[0]
-    for _ in range(MAX_BRACKET_STEPS):
-        if r_lo > 0.0:
-            lo *= 0.5
-            r_lo = residual(lo)[0]
-        elif r_hi < 0.0:
-            hi *= 2.0
-            r_hi = residual(hi)[0]
-        else:
-            break
-    if not r_lo <= 0.0 <= r_hi:
-        raise ConvergenceError(
-            f"gap bracket: no sign change in [{lo!r}, {hi!r}]", value=lo, bound=math.inf
-        )
-
     eps = sys.float_info.epsilon
     om = lo
-    for _ in range(MAX_STEPS):
-        r, scale, slope = residual(om)
+    for evals in range(1, MAX_STEPS + 1):
+        r, scale, slope = _scaled_residual(params, a, om)
         if abs(r) <= STOP_ULPS * eps * scale:
             return om, r, evals
-        if r < 0.0:
-            lo, r_lo = om, r
-        else:
-            hi, r_hi = om, r
-        if math.nextafter(lo, hi) >= hi:
-            return (lo, r_lo, evals) if abs(r_lo) <= abs(r_hi) else (hi, r_hi, evals)
-        om = om - om * r / slope
-        if not lo < om < hi:
-            om = 0.5 * (lo + hi)
+        om -= om * r / slope
     raise ConvergenceError(
-        f"gap solver: no convergence in {MAX_STEPS} steps, bracket [{lo!r}, {hi!r}]",
+        f"gap solver: no convergence in {MAX_STEPS} steps from {lo!r}",
         value=om,
-        bound=hi - lo,
+        bound=math.sqrt(3.0) * lo - om,
     )
 
 
 def solve_gap(params: ModelParams) -> VariationalSolution:
-    """Solve the gap equation and evaluate F0 at the root."""
+    """Solve the gap equation and evaluate F0 (~ T ln(beta Omega) at high T) at the root."""
     om, rho, evals = _solve(params)
     g = Propagator(params.m, om, params.beta).equal_time()
+    f0 = harmonic_free_energy(om, params.beta) - 3.0 * params.lam * g * g
+    if not math.isfinite(f0):
+        x = params.beta * om
+        raise ValidationError(f"F0 is outside double precision at beta*Omega = {x:.3g}")
     return VariationalSolution(
         omega_big=om,
-        f0=harmonic_free_energy(om, params.beta) - 3.0 * params.lam * g * g,
+        f0=f0,
         residual=abs(rho) * om * om,
         iterations=evals,
     )

@@ -485,11 +485,13 @@ class TestCli:
             assert captured.err.count("\n") == 1
 
     def test_overflowed_temperature_is_one_error_line(self, capsys):
-        # order 0 has no correction to fail first; temp = 1/beta overflows
+        # order 0 has no correction to fail first; F0 ~ T ln(beta Omega)
+        # overflows in the gap solve, before the row's temp = 1/beta does
         assert main(["point", "--order", "0", "--beta", "1e-310"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: row field temp must be finite, got inf\n"
+        assert captured.err == (
+            "error: F0 is outside double precision at beta*Omega = 5.89e-233\n")
 
     def test_usage_errors_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -68,6 +68,34 @@ class TestGapEquation:
             solve_gap(p)
         assert abs(err.value.value - root) <= err.value.bound
 
+    def test_contract_over_the_full_range(self):
+        # Newton climbs from L = max(omega, a^(1/3), (2a/beta)^(1/4)) with
+        # a = 6 lambda/m^2; rho(L) <= 0 < 0.36 <= rho(sqrt(3) L), so the root
+        # lies in [L, sqrt(3) L] and is reached within 7 residual evaluations
+        rng = np.random.default_rng(1717)
+        eps = sys.float_info.epsilon
+        checked = 0
+        for _ in range(4000):
+            m = float(10.0 ** rng.uniform(-100, 100))
+            omega = 0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(-300, 300))
+            lam, beta = (float(v) for v in 10.0 ** rng.uniform(-300, 300, size=2))
+            p = ModelParams(m=m, omega=omega, lam=lam, beta=beta)
+            try:
+                a = variational._representable(p)
+            except ValidationError:
+                continue
+            s = solve_gap(p)
+            om = s.omega_big
+            low = max(omega, a ** (1.0 / 3.0), 2.0**0.25 * a**0.25 / beta**0.25)
+            high = math.sqrt(3.0) * low
+            rho_high = 1.0 - (omega / high) ** 2 - a / high / high / high * coth_half(beta * high)
+            assert s.residual <= 8.0 * eps * om * om, p
+            assert s.iterations <= 7, p
+            assert low * (1.0 - 1e-13) <= om <= high, p
+            assert rho_high >= 0.36, p
+            checked += 1
+        assert checked >= 2000
+
     def test_tiny_coupling_at_zero_temperature(self):
         # omega = 0, T -> 0: Omega^3 = 6 lambda / m^2 even where Omega^2 is far
         # below any absolute tolerance
@@ -116,6 +144,13 @@ class TestF0:
         for mp in random_params(25):
             s = solve_gap(mp)
             assert s.f0 == pytest.approx(fbar(mp, s.omega_big), rel=1e-12, abs=1e-12)
+
+    def test_outside_double_precision_is_a_validation_error(self):
+        # F0 ~ T ln(beta Omega) = 1e306 * (-527) overflows although beta*Omega
+        # is far from the bottom of double range
+        with pytest.raises(ValidationError) as err:
+            solve_gap(ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e-306))
+        assert str(err.value) == "F0 is outside double precision at beta*Omega = 5.89e-230"
 
     def test_beta_omega_1e4_finite(self):
         s = solve_gap(ModelParams(m=1.0, omega=10.0, lam=0.5, beta=1000.0))
@@ -204,6 +239,7 @@ class TestOutOfRangeCli:
         ["point", "--lambda", "1e300", "--mass", "1e-300", "--order", "0"],
         ["point", "--quad", "--beta", "1e-100"],
         ["oracle-check", "--beta", "1e-100"],
+        ["point", "--order", "0", "--beta", "1e-306"],
     ])
     def test_one_error_line(self, argv, capsys):
         assert main(argv) == 1
