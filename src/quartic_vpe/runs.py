@@ -6,9 +6,12 @@ deterministic: identical inputs produce byte-identical CSV (floats at 9
 significant digits, fixed column order given by the ResultRow field order).
 
 Every series row (tables, figures, points, sweeps) comes from one builder,
-``_point_row``: one gap solve per row, whose trial frequency both oracles
-reuse, plus the fixed columns a driver adds (published ``ref_*`` values,
-fig2's blank f2/f3).  The per-order oracle-check rows are the other kind.
+``_point_rows``: one gap solve per row, whose trial frequency the
+quadrature oracle reuses, plus the fixed columns a driver adds (published
+``ref_*`` values, fig2's blank f2/f3).  The exact oracle of every row in
+an (m, omega, lam) group works in the basis of the group's hottest row and
+shares its spectra, so one call diagonalizes each basis size at most once
+per group.  The per-order oracle-check rows are the other kind.
 
 Conventions:
 
@@ -119,16 +122,18 @@ class ResultRow:
     note: str | None = None
 
     def __post_init__(self, params):
-        if params is not None:
-            for name, value in (("lam", params.lam), ("omega", params.omega),
-                                ("mass", params.m), ("beta", params.beta),
-                                ("temp", params.temperature)):
-                object.__setattr__(self, name, value)
-        # ints and bools are always finite
-        for name in _ROW_FIELDS:
-            v = getattr(self, name)
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValidationError(f"row field {name} must be finite, got {v!r}")
+        coordinates = () if params is None else (
+            ("lam", params.lam), ("omega", params.omega), ("mass", params.m),
+            ("beta", params.beta), ("temp", params.temperature))
+        # In field order: the coordinates, then the arguments, which the
+        # instance dict holds in field order (unset coordinates are class
+        # defaults).  Ints and bools are always finite.
+        for items in (coordinates, vars(self).items()):
+            for name, v in items:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValidationError(f"row field {name} must be finite, got {v!r}")
+        for name, value in coordinates:
+            object.__setattr__(self, name, value)
         # after the check, so an overflowed temp is named as such; rescale
         # validates the pair it returns
         if params is not None and params.m == 1.0:
@@ -165,38 +170,60 @@ def _degrade_on_convergence_error(kw: dict, what: str, value_field: str,
                 kw[bound_field] = float(exc.bound)
 
 
-def _point_row(params: ModelParams, max_order: int, exact: bool, quad: bool,
-               **fixed) -> ResultRow:
-    """The series row of one point, with the requested oracles.
+def _point_rows(grid: list[ModelParams], max_order: int, exact: bool,
+                quad: bool, fixed: list[dict] | None = None) -> list[ResultRow]:
+    """The series rows of the points in ``grid``, with the requested oracles.
 
-    ``fixed`` holds columns the caller sets outright; they override the
-    computed ones.
+    Each row solves its gap once.  The exact oracle runs per row, but the
+    rows of one (m, omega, lam) group share their basis frequency, the
+    largest Omega of the group (its hottest row), and one dict of spectra,
+    so each basis size is diagonalized at most once per group.  Quadrature
+    runs at each row's own Omega.  ``fixed`` holds, per row, columns the
+    caller sets outright; they override the computed ones.
     """
-    kw = {}
-    try:
-        fe = series_eval(params, max_order=max_order)
-    except ConvergenceError as exc:
-        _degrade(kw, f"gap equation: {exc}")
-        return ResultRow(params=params, **kw, **fixed)
-    kw.update(omega_big=fe.omega_big, f0=fe.f0, f2=fe.f2, f3=fe.f3, f4=fe.f4)
-    kw.update(fixed)
+    kws, series = [], []
+    for params, columns in zip(grid, fixed or [{}] * len(grid)):
+        kw = {}
+        try:
+            fe = series_eval(params, max_order=max_order)
+        except ConvergenceError as exc:
+            _degrade(kw, f"gap equation: {exc}")
+            fe = None
+        else:
+            kw.update(omega_big=fe.omega_big, f0=fe.f0, f2=fe.f2, f3=fe.f3,
+                      f4=fe.f4)
+        kw.update(columns)
+        kws.append(kw)
+        series.append(fe)
+    nu, spectra = {}, {}
     if exact:
-        with _degrade_on_convergence_error(kw, "exact oracle", "exact", "exact_step"):
-            res = exact_free_energy(params, nu=fe.omega_big)
-            kw.update(exact=res.value, exact_step=res.step)
-    if quad:
-        for order in range(2, max_order + 1):
-            column = f"quad{order}"
-            # the error message names the order already
-            with _degrade_on_convergence_error(kw, "quadrature", column):
-                kw[column] = quad_correction(params, fe.omega_big, order)
-    return ResultRow(params=params, **kw)
+        for params, fe in zip(grid, series):
+            if fe is not None:
+                group = (params.m, params.omega, params.lam)
+                nu[group] = max(nu.get(group, 0.0), fe.omega_big)
+    for params, fe, kw in zip(grid, series, kws):
+        if fe is None:
+            continue
+        if exact:
+            with _degrade_on_convergence_error(kw, "exact oracle", "exact",
+                                               "exact_step"):
+                res = exact_free_energy(
+                    params, nu=nu[params.m, params.omega, params.lam],
+                    spectra=spectra)
+                kw.update(exact=res.value, exact_step=res.step)
+        if quad:
+            for order in range(2, max_order + 1):
+                column = f"quad{order}"
+                # the error message names the order already
+                with _degrade_on_convergence_error(kw, "quadrature", column):
+                    kw[column] = quad_correction(params, fe.omega_big, order)
+    return [ResultRow(params=params, **kw) for params, kw in zip(grid, kws)]
 
 
 def run_point(params: ModelParams, *, max_order: int = 4,
               exact: bool = False, quad: bool = False) -> ResultRow:
     """Evaluate one parameter point, optionally with either oracle."""
-    return _point_row(params, max_order, exact, quad)
+    return _point_rows([params], max_order, exact, quad)[0]
 
 
 def run_sweep(base: ModelParams, var: str, start: float, stop: float,
@@ -216,15 +243,14 @@ def run_sweep(base: ModelParams, var: str, start: float, stop: float,
     else:
         grid = np.linspace(start, stop, points)
     attr = {"mass": "m", "temp": "beta"}.get(var, var)
-    rows = []
+    points = []
     for value in map(float, grid):
         if var == "temp":
             if value <= 0.0:
                 raise ValidationError(f"temp must be positive, got {value}")
             value = 1.0 / value
-        p = replace(base, **{attr: value})
-        rows.append(_point_row(p, max_order, exact, quad))
-    return rows
+        points.append(replace(base, **{attr: value}))
+    return _point_rows(points, max_order, exact, quad)
 
 
 def run_table1(*, exact: bool = False) -> list[ResultRow]:
@@ -235,14 +261,13 @@ def run_table1(*, exact: bool = False) -> list[ResultRow]:
     the independently published high-precision value ``ref_accu``).  With
     ``exact=True`` the diagonalization oracle is run per row as well.
     """
-    return [
-        _point_row(unrescale(RescaledParams(TABLE1_Z, ref.t_reduced), lam=1.0),
-                   4, exact, False,
-                   ref_f0=ref.f0.value, ref_f2=ref.f2.value,
-                   ref_f3=ref.f3.value, ref_f4=ref.f4.value,
-                   ref_accu=ref.f_accu.value)
-        for ref in TABLE1
-    ]
+    return _point_rows(
+        [unrescale(RescaledParams(TABLE1_Z, ref.t_reduced), lam=1.0)
+         for ref in TABLE1],
+        4, exact, False,
+        [{"ref_f0": ref.f0.value, "ref_f2": ref.f2.value,
+          "ref_f3": ref.f3.value, "ref_f4": ref.f4.value,
+          "ref_accu": ref.f_accu.value} for ref in TABLE1])
 
 
 def run_table2(*, exact: bool = False) -> list[ResultRow]:
@@ -254,15 +279,14 @@ def run_table2(*, exact: bool = False) -> list[ResultRow]:
     ``ref_f3_cumulant``) are quoted as literature constants; with
     ``exact=True`` this package's own diagonalization value is added.
     """
-    return [
-        _point_row(ModelParams(m=1.0, omega=1.0, lam=ref.lam, beta=ref.beta),
-                   3, exact, False,
-                   ref_f0=ref.f0.value, ref_f2=ref.f2.value,
-                   ref_f3=ref.f3.value, ref_exact=ref.f_exact.value,
-                   ref_f1_cumulant=ref.f1_cumulant.value,
-                   ref_f3_cumulant=ref.f3_cumulant.value)
-        for ref in TABLE2
-    ]
+    return _point_rows(
+        [ModelParams(m=1.0, omega=1.0, lam=ref.lam, beta=ref.beta)
+         for ref in TABLE2],
+        3, exact, False,
+        [{"ref_f0": ref.f0.value, "ref_f2": ref.f2.value,
+          "ref_f3": ref.f3.value, "ref_exact": ref.f_exact.value,
+          "ref_f1_cumulant": ref.f1_cumulant.value,
+          "ref_f3_cumulant": ref.f3_cumulant.value} for ref in TABLE2])
 
 
 def run_figure(which: str, grid_resolution: int | None = None) -> list[ResultRow]:
@@ -294,9 +318,8 @@ def run_figure(which: str, grid_resolution: int | None = None) -> list[ResultRow
     else:
         grid = [ModelParams(m=1.0, omega=0.0, lam=1.0, beta=float(beta))
                 for beta in np.geomspace(0.25, 20.0, n)]
-    fixed = {"f2": None, "f3": None} if which == "fig2" else {}
-    return [_point_row(params, 4, which != "fig2", False, **fixed)
-            for params in grid]
+    fixed = [{"f2": None, "f3": None}] * len(grid) if which == "fig2" else None
+    return _point_rows(grid, 4, which != "fig2", False, fixed)
 
 
 def run_oracle_check(params: ModelParams, *, max_order: int = 4,

@@ -2,7 +2,9 @@
 
 H = p^2/(2m) + (1/2) m omega^2 x^2 + lambda x^4 is represented in the
 eigenbasis of a harmonic oscillator with basis frequency nu (default: the
-variational Omega, which keeps the required basis size small):
+variational Omega, which keeps the required basis size small; the run
+drivers pass the hottest row's Omega of each (m, omega, lambda) group, so
+all rows of one command share one spectrum per basis size):
 
     H = nu (n + 1/2) delta_{nn'} + (1/2) m (omega^2 - nu^2) (x^2)_{nn'}
         + lambda (x^4)_{nn'}.
@@ -156,7 +158,10 @@ def _boltzmann_free_energy(eigs: np.ndarray, beta: float) -> tuple[float, int]:
 
 
 def exact_free_energy(
-    params: ModelParams, tol: float = DEFAULT_TOL, nu: float | None = None
+    params: ModelParams,
+    tol: float = DEFAULT_TOL,
+    nu: float | None = None,
+    spectra: dict | None = None,
 ) -> ExactResult:
     """Free energy from the diagonalization oracle, basis-doubled until stable.
 
@@ -167,16 +172,28 @@ def exact_free_energy(
     doubling step F_{n/2} - F_n, which by interlacing is at least the free
     energy the levels above n/2 carry, T ln(Z_n / Z_lower half); when the
     sum reaches those levels, the message names the tail.
+
+    ``spectra`` is a memo the caller owns, keyed by
+    ``(m, omega, lam, nu, n_basis)``, everything the eigenvalues depend on.
+    A basis size found there is not diagonalized again; one that is missing
+    is diagonalized and stored.  Points that differ only in beta and share
+    ``nu`` thus share every spectrum, while each keeps its own stopping rule.
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
     if nu is None:
         nu = solve_gap(params).omega_big
+    if spectra is None:
+        spectra = {}
     n_basis = BASIS_START
     step = math.inf
     prev_f = None
     while n_basis <= BASIS_CAP:
-        f, n_kept = _boltzmann_free_energy(diagonalize(params, nu, n_basis), params.beta)
+        key = (params.m, params.omega, params.lam, nu, n_basis)
+        eigs = spectra.get(key)
+        if eigs is None:
+            eigs = spectra[key] = diagonalize(params, nu, n_basis)
+        f, n_kept = _boltzmann_free_energy(eigs, params.beta)
         # the Boltzmann sum must stay within the lower half of the basis
         tail_ok = n_kept <= n_basis // 2
         if prev_f is not None:

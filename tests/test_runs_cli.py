@@ -159,6 +159,70 @@ class TestOneRowPipeline:
         assert check.rel_err == abs(-0.01 - check.closed) / abs(check.closed)
 
 
+class TestSharedSpectrum:
+    """The exact oracle diagonalizes each basis size once per (m, omega, lam)."""
+
+    @staticmethod
+    def per_row_oracle(row):
+        """(status, value, step or bound) of the oracle at the row's own Omega."""
+        params = ModelParams(row.mass, row.omega, row.lam, row.beta)
+        try:
+            res = spectrum.exact_free_energy(params, nu=row.omega_big)
+        except ConvergenceError as exc:
+            return STATUS_DEGRADED, exc.value, exc.bound
+        return STATUS_OK, res.value, res.step
+
+    @pytest.mark.parametrize("argv", [["fig1", "--points", "30"], ["fig3"],
+                                      ["table1", "--exact"]])
+    def test_each_basis_size_diagonalized_once(self, argv, monkeypatch, capsys):
+        calls = []
+        diagonalize = spectrum.diagonalize
+
+        def counting_diagonalize(params, nu, n_basis):
+            calls.append(n_basis)
+            return diagonalize(params, nu, n_basis)
+
+        monkeypatch.setattr(spectrum, "diagonalize", counting_diagonalize)
+        assert main(argv) == 0
+        assert "exact" in csv_columns(capsys.readouterr().out)
+        assert calls and len(calls) == len(set(calls))
+
+    def test_one_row_matches_the_oracle_at_its_omega(self):
+        params = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=0.05)
+        row = run_point(params, exact=True)
+        res = spectrum.exact_free_energy(params, nu=row.omega_big)
+        assert (row.exact, row.exact_step) == (res.value, res.step)
+
+    def test_groups_do_not_share_spectra(self):
+        # each coupling is its own group, so each row works at its own Omega
+        rows = run_sweep(ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0),
+                         "lam", 0.5, 2.0, 3, exact=True)
+        for row in rows:
+            assert self.per_row_oracle(row) == (row.status, row.exact,
+                                                row.exact_step)
+
+    @pytest.mark.parametrize("base, var, start, stop, points, log", [
+        # rows from basis 128 up to 2048
+        (ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0),
+         "temp", 0.05, 300.0, 13, False),
+        # the hottest seven rows stop degraded at the basis cap
+        (ModelParams(m=1.0, omega=1.0, lam=0.01, beta=1.0),
+         "beta", 0.001, 50.0, 30, True),
+    ])
+    def test_shared_spectrum_agrees_with_per_row_oracle(
+            self, base, var, start, stop, points, log):
+        rows = run_sweep(base, var, start, stop, points, exact=True,
+                         log_spacing=log)
+        for row in rows:
+            status, value, step = self.per_row_oracle(row)
+            assert row.status == status
+            if status == STATUS_OK:
+                bound = max(row.exact_step, spectrum.DEFAULT_TOL)
+            else:
+                bound = row.exact_step
+            assert abs(row.exact - value) <= bound
+
+
 class TestRunTable1:
     def test_shape_and_reference_columns(self):
         rows = run_table1()

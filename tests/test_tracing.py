@@ -47,3 +47,15 @@ def test_tracer_sees_every_layer(capsys):
     assert metrics["spectrum.exact_free_energy.basis_max"] == 128
     # one gap solve per command: the exact oracle reuses the row's
     assert metrics["variational.solve_gap.calls"] == 2
+
+
+def test_exact_oracle_runs_per_row_on_shared_spectra(capsys):
+    # one traced oracle call per row, fewer eigensolves than rows: the rows
+    # share their spectra without bypassing runs.exact_free_energy
+    tracing = load_perfbench("tracing")
+    with tracing.Tracer() as tracer:
+        assert main(["fig1", "--points", "7"]) == 0
+    capsys.readouterr()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["spectrum.exact_free_energy.calls"] == 7
+    assert metrics["spectrum.diagonalize.per_exact"] < 1
