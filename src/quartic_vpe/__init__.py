@@ -33,9 +33,7 @@ from .runs import (
 )
 from .series import (
     FreeEnergySeries,
-    c2_closed,
-    c3_closed,
-    c4_closed,
+    closed_correction,
     series_eval,
     temperature_factor,
 )
@@ -56,9 +54,7 @@ __all__ = [
     "ValidationError",
     "VariationalSolution",
     "builtin_diagrams",
-    "c2_closed",
-    "c3_closed",
-    "c4_closed",
+    "closed_correction",
     "exact_free_energy",
     "harmonic_free_energy",
     "quad_correction",

@@ -307,12 +307,8 @@ def _integrate_level(
             remaining = remaining * (1.0 - r_ax)
         if mode == "full":
             measure = measure * remaining
-        # at_separation rejects separations outside [0, beta]; keep
-        # round-off from reaching its range check
         powered = {
-            ((a, b), 1): propagator.at_separation(
-                np.clip(positions[b] - positions[a], 0.0, beta)
-            )
+            ((a, b), 1): propagator.at_separation(positions[b] - positions[a])
             for (a, b) in needed_pairs
         }
         for index, classes in enumerate(per_diagram):

@@ -1,9 +1,15 @@
 """Closed-form perturbative corrections around the variational reference.
 
 The second-, third- and fourth-order corrections to the optimized
-zeroth-order free energy share a common structure: a coupling/frequency
-prefactor multiplying a dimensionless temperature factor ``R_n(x)`` that
-depends only on ``x = beta * Omega``.  Written over hyperbolic functions
+zeroth-order free energy share a common structure,
+
+    c_n = K_n * Omega * u**n * R~_n(x),    u = lam / (m**2 Omega**3),
+
+a rational constant times the frequency, the n-th power of the
+dimensionless coupling ``u`` (at most 1/6 at the gap root, where
+m**2 Omega**3 >= 6 lam coth(x/2)) and a dimensionless temperature factor
+that depends only on ``x = beta * Omega``: ``R~_n = R_n`` for n = 2, 3
+and ``R_4 / x`` for n = 4.  Written over hyperbolic functions
 the factors overflow at moderate ``x`` and cancel catastrophically at
 small ``x``, so each one is evaluated in one of three regimes:
 
@@ -22,7 +28,6 @@ numerical quadrature of those integrals (see the ``diagrams`` module).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .core import ModelParams, check_frequency
@@ -31,9 +36,7 @@ from .variational import solve_gap
 
 __all__ = [
     "FreeEnergySeries",
-    "c2_closed",
-    "c3_closed",
-    "c4_closed",
+    "closed_correction",
     "series_eval",
     "temperature_factor",
 ]
@@ -97,20 +100,27 @@ def _factor_4(x: float) -> float:
 _FACTORS = {2: _factor_2, 3: _factor_3, 4: _factor_4}
 
 
-@contextmanager
-def _in_double_range(what: str, x: float):
+class _in_double_range:
     """Report a float overflow or an underflow to zero divisor as a ValidationError.
 
     Products and quotients that overflow come out as +-inf instead of
     raising; ``_finite`` turns such a result into an OverflowError, so it is
-    reported here too, before any oracle runs on it.
+    reported here too, before any oracle runs on it.  A class rather than a
+    ``contextmanager`` generator, whose set-up costs a measurable share of
+    ``series_eval``, which enters it once per correction.
     """
-    try:
-        yield
-    except (OverflowError, ZeroDivisionError):
-        raise ValidationError(
-            f"{what} is outside double precision at beta*Omega = {x:.3g}"
-        ) from None
+
+    def __init__(self, what: str, x: float):
+        self.what, self.x = what, x
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        if kind is not None and issubclass(kind, (OverflowError, ZeroDivisionError)):
+            raise ValidationError(
+                f"{self.what} is outside double precision at beta*Omega = {self.x:.3g}"
+            ) from None
 
 
 def _finite(value: float) -> float:
@@ -123,8 +133,8 @@ def _finite(value: float) -> float:
 def temperature_factor(order: int, x: float) -> float:
     """Evaluate the dimensionless factor R_n(x) for n in {2, 3, 4}.
 
-    Exposed mainly for tests; the physical corrections are the
-    ``c*_closed`` functions below.
+    Exposed mainly for tests; the physical corrections come from
+    ``closed_correction`` below.
     """
     if order not in _FACTORS:
         raise ValidationError(f"no temperature factor of order {order}")
@@ -134,44 +144,36 @@ def temperature_factor(order: int, x: float) -> float:
         return _finite(_FACTORS[order](x))
 
 
-def c2_closed(params: ModelParams, omega_big: float) -> float:
-    """Second-order correction; strictly negative."""
-    check_frequency(omega_big)
-    lam, m = params.lam, params.m
-    x = params.beta * omega_big
-    with _in_double_range("c2", x):
-        pref = -3.0 * lam * lam / (64.0 * m**4 * omega_big**5)
-        return _finite(pref * _factor_2(x))
+# K_n of c_n = K_n * Omega * u**n * R~_n(x) (see the module docstring).
+_PREFACTORS = {2: -3.0 / 64.0, 3: 9.0 / 512.0, 4: -3.0 / 32768.0}
 
 
-def c3_closed(params: ModelParams, omega_big: float) -> float:
-    """Third-order correction; strictly positive."""
-    check_frequency(omega_big)
-    lam, m = params.lam, params.m
-    x = params.beta * omega_big
-    with _in_double_range("c3", x):
-        pref = 9.0 * lam**3 / (512.0 * m**6 * omega_big**8)
-        return _finite(pref * _factor_3(x))
+def closed_correction(params: ModelParams, omega_big: float, order: int) -> float:
+    """Closed-form correction c_n of order n in {2, 3, 4} at trial frequency Omega.
 
-
-def c4_closed(params: ModelParams, omega_big: float) -> float:
-    """Fourth-order correction; strictly negative.
-
-    The raw expression carries an extra 1/beta relative to the lower
-    orders; combining it with R_4 (which grows linearly in x at low
-    temperature) leaves a finite zero-temperature limit.  In the
-    asymptotic regime R_4(x)/x is the constant 202496, used directly
-    because 202496 x overflows for x above about 9e302.
+    c2 < 0, c3 > 0 and c4 < 0.  lam, m, Omega and R~_n enter as mantissa
+    and binary exponent, and one ``ldexp`` scales the product, so no power
+    of lam, m or Omega overflows or underflows on the way; only R_n's own
+    high-temperature pole can leave double range.  In the asymptotic regime
+    R_4(x)/x is the constant 202496, used directly because 202496 x
+    overflows for x above about 9e302.
     """
+    if order not in _PREFACTORS:
+        raise ValidationError(f"no closed-form correction of order {order}")
     check_frequency(omega_big)
-    lam, m = params.lam, params.m
     x = params.beta * omega_big
-    with _in_double_range("c4", x):
-        pref = -3.0 * lam**4 / (32768.0 * m**8 * omega_big**11)
-        return _finite(pref * (202496.0 if x > X_ASYMPTOTIC else _factor_4(x) / x))
-
-
-_CORRECTIONS = {2: c2_closed, 3: c3_closed, 4: c4_closed}
+    with _in_double_range(f"c{order}", x):
+        if order < 4:
+            factor = _FACTORS[order](x)
+        else:
+            factor = 202496.0 if x > X_ASYMPTOTIC else _factor_4(x) / x
+        lam, e_lam = math.frexp(params.lam)
+        m, e_m = math.frexp(params.m)
+        w, e_w = math.frexp(omega_big)
+        r, e_r = math.frexp(factor)
+        u = lam / (m * m * w**3)
+        exponent = e_r + e_w + order * (e_lam - 2 * e_m - 3 * e_w)
+        return _finite(math.ldexp(_PREFACTORS[order] * w * r * u**order, exponent))
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,7 @@ def series_eval(params: ModelParams, max_order: int = 4) -> FreeEnergySeries:
     values: dict[int, float] = {}
     for order in (2, 3, 4):
         if order <= max_order:
-            values[order] = _CORRECTIONS[order](params, solution.omega_big)
+            values[order] = closed_correction(params, solution.omega_big, order)
     return FreeEnergySeries(
         params=params,
         omega_big=solution.omega_big,

@@ -21,7 +21,7 @@ from quartic_vpe.core import (
 from quartic_vpe.diagrams import quad_correction
 from quartic_vpe.literature import TABLE2
 from quartic_vpe.runs import run_figure, run_table1, run_table2
-from quartic_vpe.series import c2_closed, c3_closed, c4_closed, series_eval
+from quartic_vpe.series import closed_correction, series_eval
 from quartic_vpe.spectrum import exact_free_energy
 from quartic_vpe.variational import solve_gap
 
@@ -124,8 +124,7 @@ class TestAcceptance:
                     break
                 params = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=beta_next)
             om = solve_gap(params).omega_big
-            closed = {2: c2_closed(params, om), 3: c3_closed(params, om),
-                      4: c4_closed(params, om)}
+            closed = {n: closed_correction(params, om, n) for n in (2, 3, 4)}
             rel_tol = {2: 1e-6, 3: 1e-6, 4: 1e-4}
             for order in (2, 3, 4):
                 quad = quad_correction(params, om, order)
@@ -175,9 +174,9 @@ class TestAcceptance:
             sol = solve_gap(params)
             if not sol.residual < 1e-12:
                 failures.append(f"{tag}: gap residual {sol.residual:.2e}")
-            c2 = c2_closed(params, sol.omega_big)
-            c3 = c3_closed(params, sol.omega_big)
-            c4 = c4_closed(params, sol.omega_big)
+            c2 = closed_correction(params, sol.omega_big, 2)
+            c3 = closed_correction(params, sol.omega_big, 3)
+            c4 = closed_correction(params, sol.omega_big, 4)
             if not (c2 < 0.0 and c3 > 0.0 and c4 < 0.0):
                 failures.append(
                     f"{tag}: correction signs ({c2:+.3g}, {c3:+.3g}, "

@@ -1,10 +1,13 @@
-"""Parameter records, reduced-variable map, propagator, harmonic free energy."""
+"""Parameter records, reduced-variable map, propagator, harmonic free energy, exports."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import quartic_vpe
 from quartic_vpe.core import (
     ModelParams,
     Propagator,
@@ -191,3 +194,12 @@ class TestHarmonicFreeEnergy:
                 harmonic_free_energy(bad, 1.0)
         with pytest.raises(ValidationError):
             harmonic_free_energy(1.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["quartic_vpe"] + [
+    f"quartic_vpe.{info.name}" for info in pkgutil.iter_modules(quartic_vpe.__path__)
+])
+def test_exported_names_resolve(name):
+    # a renamed function must leave no stale entry in __all__ behind
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

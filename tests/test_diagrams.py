@@ -19,7 +19,7 @@ from quartic_vpe.diagrams import (
     quad_diagram,
 )
 from quartic_vpe.errors import ConvergenceError, ValidationError
-from quartic_vpe.series import c2_closed, c3_closed, c4_closed
+from quartic_vpe.series import closed_correction
 from quartic_vpe.variational import solve_gap
 
 RNG = np.random.default_rng(61803)
@@ -148,9 +148,9 @@ class TestOracleAgreement:
         for m, om, lam, beta in [(1.0, 1.0, 1.0, 2.0), (0.9, 1.3, 0.4, 2.7), (1.2, 0.7, 2.5, 0.3)]:
             p = ModelParams(m=m, omega=om, lam=lam, beta=beta)
             w = solve_gap(p).omega_big
-            assert quad_correction(p, w, 2) == pytest.approx(c2_closed(p, w), rel=1e-12)
-            assert quad_correction(p, w, 3) == pytest.approx(c3_closed(p, w), rel=1e-12)
-            assert quad_correction(p, w, 4) == pytest.approx(c4_closed(p, w), rel=1e-10)
+            assert quad_correction(p, w, 2) == pytest.approx(closed_correction(p, w, 2), rel=1e-12)
+            assert quad_correction(p, w, 3) == pytest.approx(closed_correction(p, w, 3), rel=1e-12)
+            assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=1e-10)
 
     def test_closed_forms_across_the_temperature_range(self):
         # from high temperature through the uniform panels to the graded
@@ -158,12 +158,12 @@ class TestOracleAgreement:
         for x in np.geomspace(0.3, 200.0, 12):
             p = point_at(float(x))
             w = solve_gap(p).omega_big
-            assert quad_correction(p, w, 2) == pytest.approx(c2_closed(p, w), rel=1e-13)
-            assert quad_correction(p, w, 3) == pytest.approx(c3_closed(p, w), rel=1e-13)
+            assert quad_correction(p, w, 2) == pytest.approx(closed_correction(p, w, 2), rel=1e-13)
+            assert quad_correction(p, w, 3) == pytest.approx(closed_correction(p, w, 3), rel=1e-13)
         for x in (0.3, 2.0, 4.0, 15.0, 40.0):
             p = point_at(x)
             w = solve_gap(p).omega_big
-            assert quad_correction(p, w, 4) == pytest.approx(c4_closed(p, w), rel=1e-13)
+            assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=1e-13)
 
     def test_closed_forms_across_the_grading_threshold(self):
         # just below and above the switch from two uniform panels to graded
@@ -174,12 +174,12 @@ class TestOracleAgreement:
                   1.0207 * 128, 1.0207 * 512, 1000.0):
             p = point_at(x)
             w = solve_gap(p).omega_big
-            assert quad_correction(p, w, 2) == pytest.approx(c2_closed(p, w), rel=1e-13)
-            assert quad_correction(p, w, 3) == pytest.approx(c3_closed(p, w), rel=1e-13)
+            assert quad_correction(p, w, 2) == pytest.approx(closed_correction(p, w, 2), rel=1e-13)
+            assert quad_correction(p, w, 3) == pytest.approx(closed_correction(p, w, 3), rel=1e-13)
         p = point_at(1.004 * GRADING_THRESHOLD)
         w = solve_gap(p).omega_big
         assert p.beta * w > GRADING_THRESHOLD
-        assert quad_correction(p, w, 4) == pytest.approx(c4_closed(p, w), rel=1e-13)
+        assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=1e-13)
 
     def test_ring_against_spectral_sum(self):
         p = ModelParams(m=1.1, omega=0.8, lam=1.7, beta=2.0)
@@ -257,7 +257,7 @@ class TestFailureModes:
             assert str(err.value) == (
                 f"{what} did not stabilize to rel_tol=1e-17 on the 24/32 rung"
             )
-            assert err.value.value == pytest.approx(c3_closed(p, w), rel=1e-13)
+            assert err.value.value == pytest.approx(closed_correction(p, w, 3), rel=1e-13)
             assert err.value.bound is not None and err.value.bound > 0.0
 
     def test_embedded_bound_covers_the_error(self):
@@ -271,7 +271,7 @@ class TestFailureModes:
         for beta in (0.5, 2.0, 5.0, 10.0):
             p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=beta)
             w = solve_gap(p).omega_big
-            for order, closed in ((2, c2_closed), (3, c3_closed), (4, c4_closed)):
+            for order in (2, 3, 4):
                 chosen = [d for d in builtin_diagrams() if d.order == order]
                 coeffs = np.array([
                     d.sign * p.lam**order / math.factorial(order) * d.symmetry_factor
@@ -285,7 +285,7 @@ class TestFailureModes:
                 if beta in (5.0, 10.0):  # beta*Omega = 10 and 20
                     assert len(rejected) == rejected_at[(beta, order)]
                 for value, bound in rejected:
-                    assert abs(value - closed(p, w)) <= bound
+                    assert abs(value - closed_correction(p, w, order)) <= bound
 
     def test_every_uniform_point_passes_a_rung(self):
         # the two uniform panels are resolved by some rung of the ladder up

@@ -31,7 +31,7 @@ from quartic_vpe.runs import (
     run_table1,
     run_table2,
 )
-from quartic_vpe.series import c2_closed, series_eval
+from quartic_vpe.series import closed_correction, series_eval
 
 rng = np.random.default_rng(20260823)
 
@@ -394,7 +394,7 @@ class TestRunOracleCheck:
             assert row.status == STATUS_OK
             assert row.rel_err < 1e-6
         assert rows[0].closed == pytest.approx(
-            c2_closed(self.PARAMS, rows[0].omega_big), rel=1e-15)
+            closed_correction(self.PARAMS, rows[0].omega_big, 2), rel=1e-15)
         assert exit_code_for(rows) == 0
 
     def test_unreachable_tolerance_degrades(self):

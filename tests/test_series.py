@@ -10,9 +10,7 @@ from quartic_vpe.errors import ValidationError
 from quartic_vpe.series import (
     X_ASYMPTOTIC,
     X_SERIES_THRESHOLD,
-    c2_closed,
-    c3_closed,
-    c4_closed,
+    closed_correction,
     series_eval,
     temperature_factor,
 )
@@ -59,6 +57,32 @@ FROZEN_POINTS = {
         -20.083405829643431,
         39.437253118461143,
         -171.01751075790391,
+    ),
+    # tiny masses and a huge coupling: m**(2n) and Omega**(3n-1) leave
+    # double range, while u = lam/(m^2 Omega^3) and every c_n stay ordinary
+    (1.0, 1.0, 1e-40, 1.0): (
+        8.4343266530174928e26,
+        -8.785756930226555e24,
+        6.5893176976699163e24,
+        -1.2065162728835425e25,
+    ),
+    (1.0, 1.0, 1e-53, 1.0): (
+        3.9148676411688635e35,
+        -4.0779871262175662e33,
+        3.0584903446631746e33,
+        -5.6001524597883591e33,
+    ),
+    (1.0, 1.0, 1e-79, 1.0): (
+        8.4343266530174924e52,
+        -8.7857569302265546e50,
+        6.589317697669916e50,
+        -1.2065162728835425e51,
+    ),
+    (8.267042840222044e139, 0.0, 1.833269125153416e70, 1.3814832364797484e-37): (
+        2.1499746612798357e9,
+        -6.0321639186647446e35,
+        1.2064327837329489e36,
+        -5.328411461487191e36,
     ),
 }
 
@@ -152,14 +176,14 @@ class TestClosedCorrections:
             omega_big = solve_gap(p).omega_big
             kappa = float(RNG.uniform(0.1, 10.0))
             scaled = ModelParams(m=p.m, omega=p.omega, lam=kappa * p.lam, beta=p.beta)
-            assert c2_closed(scaled, omega_big) == pytest.approx(
-                kappa**2 * c2_closed(p, omega_big), rel=1e-13
+            assert closed_correction(scaled, omega_big, 2) == pytest.approx(
+                kappa**2 * closed_correction(p, omega_big, 2), rel=1e-13
             )
-            assert c3_closed(scaled, omega_big) == pytest.approx(
-                kappa**3 * c3_closed(p, omega_big), rel=1e-13
+            assert closed_correction(scaled, omega_big, 3) == pytest.approx(
+                kappa**3 * closed_correction(p, omega_big, 3), rel=1e-13
             )
-            assert c4_closed(scaled, omega_big) == pytest.approx(
-                kappa**4 * c4_closed(p, omega_big), rel=1e-13
+            assert closed_correction(scaled, omega_big, 4) == pytest.approx(
+                kappa**4 * closed_correction(p, omega_big, 4), rel=1e-13
             )
 
     def test_zero_temperature_asymptotics(self):
@@ -168,18 +192,18 @@ class TestClosedCorrections:
         # c4 -> -(2373/128) lam^4/(m^8 W^11)
         for lam, m, w in [(1.0, 1.0, 1.7), (0.3, 1.4, 2.9), (8.0, 0.6, 4.1)]:
             p = ModelParams(m=m, omega=1.0, lam=lam, beta=5000.0 / w)
-            assert c2_closed(p, w) == pytest.approx(
+            assert closed_correction(p, w, 2) == pytest.approx(
                 -3.0 * lam**2 / (8.0 * m**4 * w**5), rel=1e-10
             )
-            assert c3_closed(p, w) == pytest.approx(
+            assert closed_correction(p, w, 3) == pytest.approx(
                 27.0 * lam**3 / (16.0 * m**6 * w**8), rel=1e-10
             )
-            assert c4_closed(p, w) == pytest.approx(
+            assert closed_correction(p, w, 4) == pytest.approx(
                 -(2373.0 / 128.0) * lam**4 / (m**8 * w**11), rel=1e-10
             )
         # beta*Omega = 1e303, where 202496 * beta*Omega overflows
         p = ModelParams(m=1e3, omega=1e3, lam=1e-12, beta=1e300)
-        assert c4_closed(p, 1e3) == pytest.approx(
+        assert closed_correction(p, 1e3, 4) == pytest.approx(
             -(2373.0 / 128.0) * 1e-48 / (1e24 * 1e33), rel=1e-14, abs=0.0
         )
 
@@ -206,16 +230,22 @@ class TestClosedCorrections:
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e-100)
         omega_big = solve_gap(p).omega_big
         with pytest.raises(ValidationError, match=r"^c4 is outside double precision"):
-            c4_closed(p, omega_big)
+            closed_correction(p, omega_big, 4)
         with pytest.raises(ValidationError, match=r"^R_2 is outside double precision"):
             temperature_factor(2, 1e-103)
 
     def test_omega_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
         for bad in (0.0, -2.0, math.nan, math.inf):
-            for closed in (c2_closed, c3_closed, c4_closed):
+            for order in (2, 3, 4):
                 with pytest.raises(ValidationError):
-                    closed(p, bad)
+                    closed_correction(p, bad, order)
+
+    def test_order_validation(self):
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
+        for bad in (0, 1, 5):
+            with pytest.raises(ValidationError, match=r"^no closed-form correction of order"):
+                closed_correction(p, 1.0, bad)
 
 
 class TestSeriesEval:
@@ -224,9 +254,9 @@ class TestSeriesEval:
         # never re-optimized per order
         p = ModelParams(m=1.0, omega=1.0, lam=3.0, beta=1.5)
         s = series_eval(p)
-        assert s.c2 == c2_closed(p, s.omega_big)
-        assert s.c3 == c3_closed(p, s.omega_big)
-        assert s.c4 == c4_closed(p, s.omega_big)
+        assert s.c2 == closed_correction(p, s.omega_big, 2)
+        assert s.c3 == closed_correction(p, s.omega_big, 3)
+        assert s.c4 == closed_correction(p, s.omega_big, 4)
 
     def test_max_order_truncation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)

@@ -12,7 +12,7 @@ from quartic_vpe import runs, variational
 from quartic_vpe.cli import main
 from quartic_vpe.core import ModelParams, coth_half
 from quartic_vpe.errors import ConvergenceError, ValidationError
-from quartic_vpe.series import c2_closed, c3_closed, c4_closed
+from quartic_vpe.series import closed_correction
 from quartic_vpe.variational import fbar, solve_gap
 
 RNG = np.random.default_rng(7041)
@@ -158,16 +158,16 @@ class TestF0:
         assert s.residual < 1e-12
 
 
-def finite_or_none(closed, params, omega_big):
+def finite_or_none(order, params, omega_big):
     """The closed form's value if it is finite; None if it leaves double range."""
     try:
-        value = closed(params, omega_big)
+        value = closed_correction(params, omega_big, order)
     except ValidationError:
         return None
     return value if math.isfinite(value) else None
 
 
-CORRECTIONS = ((c2_closed, -1.0), (c3_closed, 1.0), (c4_closed, -1.0))
+CORRECTIONS = ((2, -1.0), (3, 1.0), (4, -1.0))
 
 # m, omega, lambda and beta over decades, from weak to strong coupling and
 # from beta*Omega ~ 1e-13 to ~ 1e15
@@ -199,35 +199,35 @@ class TestRangeSweep:
     def test_grid(self):
         for p in GRID:
             s = self.check_root(p)
-            for closed, sign in CORRECTIONS:
-                value = finite_or_none(closed, p, s.omega_big)
-                assert value is not None and sign * value > 0.0, (p, closed.__name__)
+            for order, sign in CORRECTIONS:
+                value = finite_or_none(order, p, s.omega_big)
+                assert value is not None and sign * value > 0.0, (p, order)
 
     def test_extreme_beta_omega(self):
         xs = []
         for p in EXTREMES:
             s = self.check_root(p)
             xs.append(p.beta * s.omega_big)
-            for closed, sign in CORRECTIONS:
-                value = finite_or_none(closed, p, s.omega_big)
+            for order, sign in CORRECTIONS:
+                value = finite_or_none(order, p, s.omega_big)
                 # only the high-temperature poles leave double range
                 if xs[-1] > 1.0:
-                    assert value is not None, (p, closed.__name__)
-                assert value is None or sign * value > 0.0, (p, closed.__name__)
+                    assert value is not None, (p, order)
+                assert value is None or sign * value > 0.0, (p, order)
         assert min(xs) < 1e-299 and max(xs) >= 1e303
 
     def test_corrections_finite_down_to_their_floor(self):
         # the 1/x^k high-temperature poles take c2, c3, c4 out of double
         # range below these beta*Omega; above them every decade is finite
-        floors = {c2_closed: 1e-101, c3_closed: 1e-75, c4_closed: 1e-59}
+        floors = {2: 1e-101, 3: 1e-75, 4: 1e-59}
         for e in range(-300, 301):
             p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=10.0**e)
             s = self.check_root(p)
             x = p.beta * s.omega_big
-            for closed, sign in CORRECTIONS:
-                value = finite_or_none(closed, p, s.omega_big)
-                if x >= floors[closed]:
-                    assert value is not None and sign * value > 0.0, (p, closed.__name__)
+            for order, sign in CORRECTIONS:
+                value = finite_or_none(order, p, s.omega_big)
+                if x >= floors[order]:
+                    assert value is not None and sign * value > 0.0, (p, order)
 
 
 class TestOutOfRangeCli:
