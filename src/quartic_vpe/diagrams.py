@@ -351,37 +351,47 @@ def _refined_integrals(
     omega_big: float,
     diagrams: list[DiagramSpec],
     coeffs: np.ndarray,
+    exponent: int,
     mode: str,
     what: str,
 ) -> float:
-    """Sum of ``coeffs`` times the diagrams' simplex integrals.
+    """Sum of ``coeffs`` times the diagrams' simplex integrals, times 2**exponent.
 
-    Accepts the first rung of ``_rungs`` where every diagram's
-    |full - embedded| is below ``REL_TOL`` times |full|; else raises
-    ConvergenceError with the last rung's value and bound
-    sum(|coeffs| * |full - embedded|).  The strict test rejects a rung that
-    integrates to exactly zero, as every rung does once all nodes sit
-    beyond the decay length (beta*Omega above about 2e17).  Round-off grows
-    like beta*Omega*eps and reaches ``REL_TOL`` near beta*Omega = 1e8, so
-    points are certified up to about 4e7 and fail from about 7e7.  Once
-    the embedded rule resolves the integrand, the difference
-    over-estimates the error of the value returned; an embedded rule of
-    one or two nodes on panels wider than the decay length 1/(beta Omega)
-    could agree with the full rule by accident, so the ladder starts at 8.
+    The power of two keeps ``coeffs`` ordinary (lam**4 overflows from lam of
+    about 1e77 up).  A rung whose raw integrals overflow, as G**8 does below
+    beta*Omega of about 1e-59 at m = omega = lambda = 1, raises
+    ConvergenceError at once.  Otherwise accepts the first rung of
+    ``_rungs`` where every diagram's |full - embedded| is below ``REL_TOL``
+    times |full|; else raises ConvergenceError with the last rung's value
+    and bound sum(|coeffs| * |full - embedded|).  The strict test rejects a
+    rung that integrates to exactly zero, as every rung does once all nodes
+    sit beyond the decay length (beta*Omega above about 2e17).  Round-off
+    grows like beta*Omega*eps and reaches ``REL_TOL`` near beta*Omega = 1e8,
+    so points are certified up to about 4e7 and fail from about 7e7.  Once
+    the embedded rule resolves the integrand, the difference over-estimates
+    the error of the value returned; an embedded rule of one or two nodes on
+    panels wider than the decay length 1/(beta Omega) could agree with the
+    full rule by accident, so the ladder starts at 8.
     One BLAS thread on a 2-core VM, m = omega = lambda = 1: order 4 costs
     3 ms at beta*Omega <= 2 (the 8/16 rung passes), 11 ms at 3-10 (16/24)
     and 28 ms at 12-24 (24/32); on graded panels 0.16-0.18 s at beta*Omega
     24-64, 0.28 s at 72-128, 0.43-0.5 s at 160-400, 1.3 s at 1000 and
     about 2 s at 1600-8000; orders 2 and 3 take a few ms.
     """
-    for values, bounds in _rungs(params, omega_big, diagrams, mode):
-        if np.all(bounds < REL_TOL * np.abs(values)):
-            return float(np.sum(coeffs * values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values, bounds in _rungs(params, omega_big, diagrams, mode):
+            if not np.all(np.isfinite(values)):
+                raise ConvergenceError(
+                    f"{what}: the integrand overflows double precision at "
+                    f"beta*Omega = {params.beta * omega_big:.3g}"
+                )
+            if np.all(bounds < REL_TOL * np.abs(values)):
+                return math.ldexp(float(np.sum(coeffs * values)), exponent)
     raise ConvergenceError(
         f"{what} did not stabilize to rel_tol={REL_TOL} "
         f"on the {LADDER[-2]}/{LADDER[-1]} rung",
-        value=float(np.sum(coeffs * values)),
-        bound=float(np.sum(np.abs(coeffs) * bounds)),
+        value=math.ldexp(float(np.sum(coeffs * values)), exponent),
+        bound=math.ldexp(float(np.sum(np.abs(coeffs) * bounds)), exponent),
     )
 
 
@@ -403,11 +413,12 @@ def quad_diagram(
     if mode not in ("reduced", "full"):
         raise ValidationError(f"mode must be 'reduced' or 'full', got {mode}")
     n = diagram.order
-    prefactor = diagram.sign * params.lam**n / math.factorial(n) * diagram.symmetry_factor
+    lam, e_lam = math.frexp(params.lam)
+    prefactor = diagram.sign * lam**n / math.factorial(n) * diagram.symmetry_factor
     if mode == "full":
         prefactor /= params.beta
     return _refined_integrals(params, omega_big, [diagram], np.array([prefactor]),
-                              mode, f"quadrature for diagram {diagram.label}")
+                              n * e_lam, mode, f"quadrature for diagram {diagram.label}")
 
 
 def quad_correction(params: ModelParams, omega_big: float, order: int) -> float:
@@ -419,7 +430,8 @@ def quad_correction(params: ModelParams, omega_big: float, order: int) -> float:
     chosen = [d for d in builtin_diagrams() if d.order == order]
     if not chosen:
         raise ValidationError(f"no built-in diagrams of order {order}")
-    base = chosen[0].sign * params.lam**order / math.factorial(order)
+    lam, e_lam = math.frexp(params.lam)
+    base = chosen[0].sign * lam**order / math.factorial(order)
     coeffs = base * np.array([d.symmetry_factor for d in chosen])
-    return _refined_integrals(params, omega_big, chosen, coeffs, "reduced",
-                              f"order-{order} quadrature")
+    return _refined_integrals(params, omega_big, chosen, coeffs, order * e_lam,
+                              "reduced", f"order-{order} quadrature")

@@ -20,6 +20,11 @@ small ``x``, so each one is evaluated in one of three regimes:
 * ``x > 45`` -- the ``q -> 0`` asymptotic form (all neglected terms are
   suppressed by at least ``exp(-45)``, far below double precision).
 
+Each regime returns a regular part ``P`` and a pole order ``k`` with
+``R_n = P / x**k``; ``x**k`` joins lam, m and Omega in the binary
+exponent of the result.  At high temperature c2, c3 and c4 tend to
+-T/12, T/6 and -53T/72, so a correction is finite wherever F0 is.
+
 The integer coefficient tables were derived symbolically from the
 underlying imaginary-time integrals and cross-checked against direct
 numerical quadrature of those integrals (see the ``diagrams`` module).
@@ -51,38 +56,38 @@ X_ASYMPTOTIC = 45.0
 VALID_ORDERS = (0, 2, 3, 4)
 
 
-def _factor_2(x: float) -> float:
-    """R_2(x): second-order temperature factor."""
+def _factor_2(x: float) -> tuple[float, int]:
+    """R_2(x) as (P, k) with R_2 = P / x**k: second-order temperature factor."""
     if x < X_SERIES_THRESHOLD:
-        return 256.0 / x**3 + x * (32.0 / 15.0 - (64.0 / 945.0) * x * x)
+        return 256.0 + x**4 * (32.0 / 15.0 - (64.0 / 945.0) * x * x), 3
     if x > X_ASYMPTOTIC:
-        return 8.0
+        return 8.0, 0
     q = math.exp(-x)
     num = 8.0 + q * (64.0 + q * (96.0 * x + q * (-64.0 + q * -8.0)))
-    return num / (-math.expm1(-x)) ** 4
+    return num / (-math.expm1(-x)) ** 4, 0
 
 
-def _factor_3(x: float) -> float:
-    """R_3(x): third-order temperature factor."""
+def _factor_3(x: float) -> tuple[float, int]:
+    """R_3(x) as (P, k) with R_3 = P / x**k: third-order temperature factor."""
     if x < X_SERIES_THRESHOLD:
-        return 16384.0 / x**4 + 1024.0 / 15.0 + (1024.0 / 945.0) * x * x
+        return 16384.0 + x**4 * (1024.0 / 15.0 + (1024.0 / 945.0) * x * x), 4
     if x > X_ASYMPTOTIC:
-        return 96.0
+        return 96.0, 0
     q = math.exp(-x)
     x2 = x * x
     a2 = 256.0 * x2 + 3456.0 * x - 96.0
     a3 = 2048.0 * x2 - 3072.0
     a4 = 256.0 * x2 - 3456.0 * x - 96.0
     num = 96.0 + q * (1536.0 + q * (a2 + q * (a3 + q * (a4 + q * (1536.0 + q * 96.0)))))
-    return num / (-math.expm1(-x)) ** 6
+    return num / (-math.expm1(-x)) ** 6, 0
 
 
-def _factor_4(x: float) -> float:
-    """R_4(x): fourth-order temperature factor."""
+def _factor_4(x: float) -> tuple[float, int]:
+    """R_4(x) as (P, k) with R_4 = P / x**k: fourth-order temperature factor."""
     if x < X_SERIES_THRESHOLD:
-        return 166723584.0 / x**4 + 3407872.0 / 5.0 - (262144.0 / 315.0) * x * x
+        return 166723584.0 + x**4 * (3407872.0 / 5.0 - (262144.0 / 315.0) * x * x), 4
     if x > X_ASYMPTOTIC:
-        return 202496.0 * x
+        return 202496.0, -1
     q = math.exp(-x)
     a0 = 202496.0 * x
     a1 = (110592.0 * x + 4659200.0) * x
@@ -94,40 +99,20 @@ def _factor_4(x: float) -> float:
     a7 = (110592.0 * x - 4659200.0) * x
     a8 = -202496.0 * x
     num = a0 + q * (a1 + q * (a2 + q * (a3 + q * (a4 + q * (a5 + q * (a6 + q * (a7 + q * a8)))))))
-    return num / (-math.expm1(-x)) ** 8
+    return num / (-math.expm1(-x)) ** 8, 0
 
 
 _FACTORS = {2: _factor_2, 3: _factor_3, 4: _factor_4}
 
 
-class _in_double_range:
-    """Report a float overflow or an underflow to zero divisor as a ValidationError.
-
-    Products and quotients that overflow come out as +-inf instead of
-    raising; ``_finite`` turns such a result into an OverflowError, so it is
-    reported here too, before any oracle runs on it.  A class rather than a
-    ``contextmanager`` generator, whose set-up costs a measurable share of
-    ``series_eval``, which enters it once per correction.
-    """
-
-    def __init__(self, what: str, x: float):
-        self.what, self.x = what, x
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, value, traceback):
-        if kind is not None and issubclass(kind, (OverflowError, ZeroDivisionError)):
-            raise ValidationError(
-                f"{self.what} is outside double precision at beta*Omega = {self.x:.3g}"
-            ) from None
-
-
-def _finite(value: float) -> float:
-    """value, or an OverflowError for an inf or nan left by float arithmetic."""
-    if not math.isfinite(value):
-        raise OverflowError
-    return value
+def _scaled(what: str, x: float, mantissa: float, exponent: int) -> float:
+    """mantissa * 2**exponent, or a ValidationError if that overflows."""
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        raise ValidationError(
+            f"{what} is outside double precision at beta*Omega = {x:.3g}"
+        ) from None
 
 
 def temperature_factor(order: int, x: float) -> float:
@@ -140,40 +125,40 @@ def temperature_factor(order: int, x: float) -> float:
         raise ValidationError(f"no temperature factor of order {order}")
     if not (x > 0.0) or not math.isfinite(x):
         raise ValidationError(f"x = beta*Omega must be positive and finite, got {x}")
-    with _in_double_range(f"R_{order}", x):
-        return _finite(_FACTORS[order](x))
+    regular, pole = _FACTORS[order](x)
+    x_m, e_x = math.frexp(x)
+    return _scaled(f"R_{order}", x, regular / x_m**pole, -pole * e_x)
 
 
-# K_n of c_n = K_n * Omega * u**n * R~_n(x) (see the module docstring).
-_PREFACTORS = {2: -3.0 / 64.0, 3: 9.0 / 512.0, 4: -3.0 / 32768.0}
+# K_n of c_n = K_n * Omega * u**n * R~_n(x), and the extra pole order of
+# R~_n over R_n (see the module docstring).
+_PREFACTORS = {2: (-3.0 / 64.0, 0), 3: (9.0 / 512.0, 0), 4: (-3.0 / 32768.0, 1)}
 
 
 def closed_correction(params: ModelParams, omega_big: float, order: int) -> float:
     """Closed-form correction c_n of order n in {2, 3, 4} at trial frequency Omega.
 
-    c2 < 0, c3 > 0 and c4 < 0.  lam, m, Omega and R~_n enter as mantissa
-    and binary exponent, and one ``ldexp`` scales the product, so no power
-    of lam, m or Omega overflows or underflows on the way; only R_n's own
-    high-temperature pole can leave double range.  In the asymptotic regime
-    R_4(x)/x is the constant 202496, used directly because 202496 x
-    overflows for x above about 9e302.
+    c2 < 0, c3 > 0 and c4 < 0.  lam, m, Omega and x = beta*Omega enter as
+    mantissa and binary exponent, and one ``ldexp`` scales the product, so
+    neither a power of lam, m or Omega nor the pole 1/x**k of R~_n leaves
+    double range on the way.  Only a correction that is itself outside
+    double precision is a ValidationError; at a gap root none is.
     """
     if order not in _PREFACTORS:
         raise ValidationError(f"no closed-form correction of order {order}")
     check_frequency(omega_big)
     x = params.beta * omega_big
-    with _in_double_range(f"c{order}", x):
-        if order < 4:
-            factor = _FACTORS[order](x)
-        else:
-            factor = 202496.0 if x > X_ASYMPTOTIC else _factor_4(x) / x
-        lam, e_lam = math.frexp(params.lam)
-        m, e_m = math.frexp(params.m)
-        w, e_w = math.frexp(omega_big)
-        r, e_r = math.frexp(factor)
-        u = lam / (m * m * w**3)
-        exponent = e_r + e_w + order * (e_lam - 2 * e_m - 3 * e_w)
-        return _finite(math.ldexp(_PREFACTORS[order] * w * r * u**order, exponent))
+    prefactor, extra_pole = _PREFACTORS[order]
+    regular, pole = _FACTORS[order](x)
+    pole += extra_pole
+    x_m, e_x = math.frexp(x)
+    lam, e_lam = math.frexp(params.lam)
+    m, e_m = math.frexp(params.m)
+    w, e_w = math.frexp(omega_big)
+    u = lam / (m * m * w**3)
+    exponent = e_w - pole * e_x + order * (e_lam - 2 * e_m - 3 * e_w)
+    return _scaled(f"c{order}", x,
+                   prefactor * w * (regular / x_m**pole) * u**order, exponent)
 
 
 @dataclass(frozen=True)

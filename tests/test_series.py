@@ -84,6 +84,15 @@ FROZEN_POINTS = {
         1.2064327837329489e36,
         -5.328411461487191e36,
     ),
+    # beta*Omega = 2.8e-152: R_2's pole 256/x**3 ~ 1e457 is far outside
+    # double range, while u**2 R_2 and c2 are ordinary
+    (1.4973786522644435e-197, 5.81063629281601e-12, 3.968506157638523e29,
+     4.792912239431357e-141): (
+        5.8106362928160101e-12,
+        -0.75813809026061671,
+        3.1662327197320767e-70,
+        -2.920128588199968e-139,
+    ),
 }
 
 # Temperature factors R_n(x) at 50-digit precision, keyed by (n, x).
@@ -103,6 +112,13 @@ FROZEN_FACTORS = {
     (4, 2.0): 11118364.518384838,
     (4, 10.0): 2028320.4801236742,
     (4, 40.0): 8099840.0000000018,
+    # Laurent branch, down to where R_n itself is near the top of double range
+    (2, 1e-3): 256000000000.00212,
+    (3, 1e-3): 16384000000000067.0,
+    (4, 1e-3): 1.6672358400000067e20,
+    (2, 1e-100): 2.5599999999999998e302,
+    (3, 1e-70): 1.6384e284,
+    (4, 1e-70): 1.66723584e288,
 }
 
 
@@ -225,12 +241,12 @@ class TestClosedCorrections:
             assert abs(s.f4 - href) < 1e-12 * max(1.0, abs(href))
 
     def test_infinite_result_is_a_validation_error(self):
-        # beta*Omega = 1.86e-75, below c4's floor: the pole quotient
-        # overflows to inf without raising
+        # away from the gap root (Omega = 1 at beta = 1e-100, where the root is
+        # 1.9e25) c4 ~ -15263/(beta**5 Omega**16) = -1.5e504 really overflows,
+        # and so does R_2(1e-103) ~ 2.56e311
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e-100)
-        omega_big = solve_gap(p).omega_big
         with pytest.raises(ValidationError, match=r"^c4 is outside double precision"):
-            closed_correction(p, omega_big, 4)
+            closed_correction(p, 1.0, 4)
         with pytest.raises(ValidationError, match=r"^R_2 is outside double precision"):
             temperature_factor(2, 1e-103)
 

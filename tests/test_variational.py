@@ -4,11 +4,12 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from quartic_vpe import runs, variational
+from quartic_vpe import variational
 from quartic_vpe.cli import main
 from quartic_vpe.core import ModelParams, coth_half
 from quartic_vpe.errors import ConvergenceError, ValidationError
@@ -210,59 +211,102 @@ class TestRangeSweep:
             xs.append(p.beta * s.omega_big)
             for order, sign in CORRECTIONS:
                 value = finite_or_none(order, p, s.omega_big)
-                # only the high-temperature poles leave double range
-                if xs[-1] > 1.0:
-                    assert value is not None, (p, order)
-                assert value is None or sign * value > 0.0, (p, order)
+                assert value is not None and sign * value > 0.0, (p, order)
         assert min(xs) < 1e-299 and max(xs) >= 1e303
 
-    def test_corrections_finite_down_to_their_floor(self):
-        # the 1/x^k high-temperature poles take c2, c3, c4 out of double
-        # range below these beta*Omega; above them every decade is finite
-        floors = {2: 1e-101, 3: 1e-75, 4: 1e-59}
-        for e in range(-300, 301):
+    def test_corrections_finite_wherever_f0_is(self):
+        # F0 is finite from beta = 1e-305 up (beta*Omega ~ 3e-229); the
+        # poles 1/x^k of the temperature factors sit in the binary exponent,
+        # so no correction leaves double range before F0 does
+        for e in range(-305, 301):
             p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=10.0**e)
             s = self.check_root(p)
-            x = p.beta * s.omega_big
+            values = {}
             for order, sign in CORRECTIONS:
                 value = finite_or_none(order, p, s.omega_big)
-                if x >= floors[order]:
-                    assert value is not None and sign * value > 0.0, (p, order)
+                assert value is not None and sign * value > 0.0, (p, order)
+                values[order] = value
+            if e <= -25:
+                # high-temperature limits c2 -> -T/12, c3 -> T/6 and
+                # c4 -> -53T/72; the omega^2 term of the gap equation shifts
+                # them by about 0.6 sqrt(beta) relative, 4e-13 at e = -25
+                temp = 1.0 / p.beta
+                assert values[2] == pytest.approx(-temp / 12.0, rel=1e-12), e
+                assert values[3] == pytest.approx(temp / 6.0, rel=1e-12), e
+                assert values[4] == pytest.approx(-53.0 * temp / 72.0, rel=1e-12), e
 
 
 class TestOutOfRangeCli:
     @pytest.mark.parametrize("argv", [
-        ["point", "--beta", "1e-300"],
-        ["point", "--beta", "1e-170", "--order", "4"],
-        ["point", "--beta", "1e-100"],
+        ["sweep", "--var", "beta", "--from", "1e-306", "--to", "1",
+         "--points", "2", "--log"],
+        ["point", "--exact", "--beta", "1e-306"],
+        ["oracle-check", "--lambda", "1e-300"],
         ["point", "--omega", "1e200"],
         ["point", "--lambda", "1e300", "--mass", "1e-300", "--order", "0"],
-        ["point", "--quad", "--beta", "1e-100"],
-        ["oracle-check", "--beta", "1e-100"],
+        ["point", "--quad", "--beta", "1e-306"],
+        ["oracle-check", "--beta", "1e-306"],
         ["point", "--order", "0", "--beta", "1e-306"],
     ])
     def test_one_error_line(self, argv, capsys):
+        # F0 overflows at beta = 1e-306 whatever the command, order or
+        # oracle; lambda = 1e-300 leaves c2 below the smallest normal
+        # double, where oracle-check has no relative gap
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
-        ["point", "--quad", "--beta", "1e-100"],
-        ["oracle-check", "--beta", "1e-100"],
-        ["sweep", "--var", "beta", "--from", "1e-100", "--to", "1",
-         "--points", "3", "--log", "--quad"],
+        ["point", "--beta", "1e-300"],
+        ["point", "--beta", "1e-170", "--order", "4"],
+        ["point", "--beta", "1e-100"],
+        ["point", "--beta", "1e-305"],
     ])
-    def test_correction_below_its_floor_stops_before_the_quadrature(
-            self, argv, capsys, monkeypatch):
-        # beta*Omega = 1.86e-75 is below c4's floor of 1e-59: c4 overflows
-        # to -inf, which series reports before any quadrature runs on it
-        calls = []
-        monkeypatch.setattr(runs, "quad_correction",
-                            lambda *args: calls.append(args))
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "error: c4 is outside double precision at beta*Omega = 1.86e-75\n")
-        assert calls == []
+    def test_tiny_beta_rows_are_finite(self, argv, capsys):
+        # beta*Omega down to 3e-229: every partial sum F0..F4 the row asks
+        # for is finite and the row is ok
+        assert main(argv + ["--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["status"] == "ok"
+        for name in ("f0", "f2", "f3", "f4"):
+            assert math.isfinite(row[name]), name
+        assert row["f2"] < row["f0"] and row["f3"] > row["f2"] and row["f4"] < row["f3"]
+
+    @pytest.mark.parametrize("argv, x", [
+        (["point", "--quad", "--beta", "1e-100"], "1.86e-75"),
+        (["oracle-check", "--beta", "1e-100"], "1.86e-75"),
+        (["point", "--quad", "--beta", "1e-79"], "1.05e-59"),
+        (["sweep", "--var", "beta", "--from", "1e-100", "--to", "1",
+          "--points", "3", "--log", "--quad"], "1.86e-75"),
+    ])
+    def test_quad_overflow_degrades_order_4(self, argv, x, capsys):
+        # at beta*Omega = 1.86e-75 (beta = 1e-100) and 1.05e-59 (1e-79) the
+        # propagator is near 1e39 or more, so order 4's G**8 overflows; orders
+        # 2 and 3 still fit and stay ok, and no numpy warning escapes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--format", "json"]) == 2
+        assert caught == []
+        rows = json.loads(capsys.readouterr().out)
+        note = ("quadrature: order-4 quadrature: the integrand overflows "
+                f"double precision at beta*Omega = {x}")
+        if argv[0] == "oracle-check":
+            assert [r["status"] for r in rows] == ["ok", "ok", "degraded"]
+            assert rows[2]["note"] == note and "quad" not in rows[2]
+        else:
+            first, *rest = rows
+            assert first["status"] == "degraded" and first["note"] == note
+            assert first["quad2"] < 0.0 < first["quad3"] and "quad4" not in first
+            assert all(r["status"] == "ok" for r in rest)
+
+    def test_huge_coupling_oracle_check(self, capsys):
+        # lambda**4 = 1e320 overflows on its own; c2..c4 are about 1e25
+        assert main(["oracle-check", "--lambda", "1e80", "--beta", "1e-26",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["status"] for r in rows] == ["ok", "ok", "ok"]
+        for r in rows:
+            assert r["rel_err"] < 1e-12
 
     def test_tiny_beta_keeps_f0(self, capsys):
         # high-temperature limit at m = omega = lambda = 1: coth(x/2) -> 2/x
