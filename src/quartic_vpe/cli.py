@@ -22,7 +22,8 @@ Subcommands
     report relative gaps.
 
 Exit codes: 0 success; 1 invalid request; 2 a numerical result failed to
-converge (the affected rows are still emitted, marked degraded).
+converge.  An oracle's affected rows are still emitted, marked degraded; a
+gap solve that does not converge stops the command with one error line.
 
 ``main`` builds the parser on its first call and reuses it for every later
 call in the process; importing this module builds none.  The ``run_*``

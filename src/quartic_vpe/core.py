@@ -35,7 +35,6 @@ __all__ = [
     "Propagator",
     "rescale",
     "unrescale",
-    "propagator_matsubara",
     "harmonic_free_energy",
 ]
 
@@ -172,23 +171,6 @@ def coth_half(x: float) -> float:
         raise ValidationError(f"coth_half needs x > 0, got {x}")
     q = math.exp(-x)
     return (1.0 + q) / -math.expm1(-x)
-
-
-def propagator_matsubara(p: Propagator, s: float, n_max: int) -> float:
-    """Partial Matsubara sum (1/beta) sum_{|n| <= n_max} e^{-i w_n s} / (m (w_n^2 + Omega^2)).
-
-    The imaginary parts of the +-n terms cancel; the real partial sum converges
-    to the closed form with O(1/n_max) error (worst at s = 0).
-    """
-    if n_max < 0:
-        raise ValidationError(f"n_max must be >= 0, got {n_max}")
-    m, om, beta = p.m, p.omega_big, p.beta
-    total = 1.0 / (m * om * om)
-    if n_max > 0:
-        n = np.arange(1, n_max + 1, dtype=float)
-        wn = 2.0 * math.pi * n / beta
-        total += 2.0 * float(np.sum(np.cos(wn * s) / (m * (wn * wn + om * om))))
-    return total / beta
 
 
 def harmonic_free_energy(nu: float, beta: float) -> float:

@@ -11,8 +11,9 @@ class ValidationError(ValueError):
 class ConvergenceError(RuntimeError):
     """A numerical procedure failed to reach its tolerance within budget.
 
-    Carries the best value reached and an error bound so callers can degrade
-    gracefully instead of aborting a whole table.
+    Carries the best value reached and an error bound.  The run drivers
+    turn an oracle's (exact or quadrature) into a degraded row that keeps
+    them; a gap solve's stops the whole command (CLI exit code 2).
     """
 
     def __init__(self, message, value=None, bound=None):

@@ -174,36 +174,24 @@ def _point_rows(grid: list[ModelParams], max_order: int, exact: bool,
                 quad: bool, fixed: list[dict] | None = None) -> list[ResultRow]:
     """The series rows of the points in ``grid``, with the requested oracles.
 
-    Each row solves its gap once.  The exact oracle runs per row, but the
-    rows of one (m, omega, lam) group share their basis frequency, the
-    largest Omega of the group (its hottest row), and one dict of spectra,
-    so each basis size is diagonalized at most once per group.  Quadrature
-    runs at each row's own Omega.  ``fixed`` holds, per row, columns the
-    caller sets outright; they override the computed ones.
+    Each row solves its gap once; a gap solve that fails raises, so only
+    an oracle degrades a row.  The exact oracle runs per row, but the rows
+    of one (m, omega, lam) group share their basis frequency, the largest
+    Omega of the group (its hottest row), and one dict of spectra, so each
+    basis size is diagonalized at most once per group.  Quadrature runs at
+    each row's own Omega.  ``fixed`` holds, per row, columns the caller
+    sets outright; they override the computed ones.
     """
-    kws, series = [], []
-    for params, columns in zip(grid, fixed or [{}] * len(grid)):
-        kw = {}
-        try:
-            fe = series_eval(params, max_order=max_order)
-        except ConvergenceError as exc:
-            _degrade(kw, f"gap equation: {exc}")
-            fe = None
-        else:
-            kw.update(omega_big=fe.omega_big, f0=fe.f0, f2=fe.f2, f3=fe.f3,
-                      f4=fe.f4)
-        kw.update(columns)
-        kws.append(kw)
-        series.append(fe)
+    series = [series_eval(params, max_order=max_order) for params in grid]
+    kws = [{"omega_big": fe.omega_big, "f0": fe.f0, "f2": fe.f2, "f3": fe.f3,
+            "f4": fe.f4, **columns}
+           for fe, columns in zip(series, fixed or [{}] * len(grid))]
     nu, spectra = {}, {}
     if exact:
         for params, fe in zip(grid, series):
-            if fe is not None:
-                group = (params.m, params.omega, params.lam)
-                nu[group] = max(nu.get(group, 0.0), fe.omega_big)
+            group = (params.m, params.omega, params.lam)
+            nu[group] = max(nu.get(group, 0.0), fe.omega_big)
     for params, fe, kw in zip(grid, series, kws):
-        if fe is None:
-            continue
         if exact:
             with _degrade_on_convergence_error(kw, "exact oracle", "exact",
                                                "exact_step"):

@@ -25,9 +25,11 @@ Each regime returns a regular part ``P`` and a pole order ``k`` with
 exponent of the result.  At high temperature c2, c3 and c4 tend to
 -T/12, T/6 and -53T/72, so a correction is finite wherever F0 is.
 
-The integer coefficient tables were derived symbolically from the
-underlying imaginary-time integrals and cross-checked against direct
-numerical quadrature of those integrals (see the ``diagrams`` module).
+The q-polynomials come from the underlying imaginary-time integrals and
+are checked only against direct numerical quadrature of those integrals
+(see the ``diagrams`` module).  The Laurent series and the asymptotes are
+derived from the q-polynomials in exact rational arithmetic by
+``TestLaurentDerivation`` in ``tests/test_series.py``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from quartic_vpe.core import (
     Propagator,
     RescaledParams,
     harmonic_free_energy,
-    propagator_matsubara,
     unrescale,
 )
 from quartic_vpe.diagrams import quad_correction
@@ -24,6 +23,8 @@ from quartic_vpe.runs import run_figure, run_table1, run_table2
 from quartic_vpe.series import closed_correction, series_eval
 from quartic_vpe.spectrum import exact_free_energy
 from quartic_vpe.variational import solve_gap
+
+from matsubara import propagator_matsubara
 
 rng = np.random.default_rng(1851)
 

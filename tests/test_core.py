@@ -13,11 +13,12 @@ from quartic_vpe.core import (
     Propagator,
     RescaledParams,
     harmonic_free_energy,
-    propagator_matsubara,
     rescale,
     unrescale,
 )
 from quartic_vpe.errors import ValidationError
+
+from matsubara import propagator_matsubara
 
 RNG = np.random.default_rng(20260823)
 

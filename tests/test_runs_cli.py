@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quartic_vpe import runs, spectrum
+from quartic_vpe import runs, spectrum, variational
 from quartic_vpe.cli import main
 from quartic_vpe.core import ModelParams, RescaledParams, rescale, unrescale
 from quartic_vpe.errors import ConvergenceError, ValidationError
@@ -93,25 +94,24 @@ class TestResultRow:
 
 
 class TestOneRowPipeline:
-    """Every driver degrades the same way, and each row solves the gap once."""
+    """Every driver fails the same way, and each row solves the gap once."""
 
     PARAMS = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
 
-    def test_gap_failure_degrades_table_and_figure_rows(self, monkeypatch):
-        def stalled(params, max_order=4):
-            raise ConvergenceError("stalled", value=1.0, bound=0.5)
-
-        monkeypatch.setattr(runs, "series_eval", stalled)
-        for rows in (run_table1(), run_table2(exact=True),
-                     run_figure("fig1", 2), run_figure("fig2", 2),
-                     run_figure("fig3", 2)):
-            assert rows and exit_code_for(rows) == 2
-            for row in rows:
-                assert row.status == STATUS_DEGRADED
-                assert row.note == "gap equation: stalled"
-                assert row.f0 is None and row.exact is None
-        assert run_table1()[0].ref_f0 == TABLE1[0].f0.value
-        assert run_table2()[0].ref_exact == TABLE2[0].f_exact.value
+    def test_gap_step_cap_stops_every_driver(self, monkeypatch, capsys):
+        # no row is emitted without its gap root: one error line, exit 2
+        monkeypatch.setattr(variational, "MAX_STEPS", 1)
+        for argv in (["table1"], ["fig1", "--points", "2"],
+                     ["point", "--exact"],
+                     ["sweep", "--var", "temp", "--from", "1", "--to", "3",
+                      "--points", "3"],
+                     ["oracle-check"]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith(
+                "error: gap solver: no convergence in 1 steps"), argv
+            assert captured.err.count("\n") == 1, argv
 
     def test_every_row_carries_its_point(self):
         unit = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)
@@ -617,6 +617,20 @@ class TestCli:
         assert run.returncode == 0, run.stderr
         # the second line shows the count sees a parser being built
         assert run.stdout.split() == ["0", "True"]
+
+    def test_readme_command_lines_run(self, capsys):
+        # a renamed flag or subcommand fails here instead of leaving the
+        # README's examples stale
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        block = block.split("```", 1)[0]
+        argvs = [shlex.split(line, comments=True)
+                 for line in block.splitlines() if line.startswith("quartic-vpe ")]
+        assert argvs
+        for argv in argvs:
+            assert main(argv[1:]) == 0, argv
+            captured = capsys.readouterr()
+            assert captured.out and captured.err == "", argv
 
     def test_figure_data_series(self, capsys):
         assert main(["fig2", "--points", "2"]) == 0

@@ -1,12 +1,14 @@
 """Closed-form corrections: frozen values, regimes, signs, and scaling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from quartic_vpe import series
 from quartic_vpe.core import ModelParams, RescaledParams, harmonic_free_energy, unrescale
-from quartic_vpe.errors import ValidationError
+from quartic_vpe.errors import ConvergenceError, ValidationError
 from quartic_vpe.series import (
     X_ASYMPTOTIC,
     X_SERIES_THRESHOLD,
@@ -167,6 +169,137 @@ class TestTemperatureFactors:
             temperature_factor(2, 0.0)
         with pytest.raises(ValidationError):
             temperature_factor(2, math.inf)
+
+
+# The numerator of each temperature factor on its q-polynomial branch,
+# R_n = sum_k q**k p_k(x) / (1 - q)**(2n) with q = exp(-x): the integer
+# coefficients of p_0, p_1, ... (lowest power of x first), transcribed
+# from series._factor_n.  Only quadrature checks these polynomials.
+Q_POLYNOMIALS = {
+    2: [[8], [64], [0, 96], [-64], [-8]],
+    3: [[96], [1536], [-96, 3456, 256], [-3072, 0, 2048],
+        [-96, -3456, 256], [1536], [96]],
+    4: [[0, 202496], [0, 4659200, 110592],
+        [0, 5186048, 13188096, 1437696, 36864],
+        [0, -25159680, 11071488, 16809984, 2064384],
+        [0, 0, -48740352, 0, 6635520],
+        [0, 25159680, 11071488, -16809984, 2064384],
+        [0, -5186048, 13188096, -1437696, 36864],
+        [0, -4659200, 110592], [0, -202496]],
+}
+# The Laurent branch R_n = P / x**k: P's coefficients through x**6 and k.
+LAURENT = {
+    2: ([256, 0, 0, 0, Fraction(32, 15), 0, Fraction(-64, 945)], 3),
+    3: ([16384, 0, 0, 0, Fraction(1024, 15), 0, Fraction(1024, 945)], 4),
+    4: ([166723584, 0, 0, 0, Fraction(3407872, 5), 0, Fraction(-262144, 315)], 4),
+}
+# The q -> 0 branch R_n = P / x**k as (P, k).
+ASYMPTOTES = {2: (8, 0), 3: (96, 0), 4: (202496, -1)}
+
+
+def _series_product(a, b, terms):
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(terms)]
+
+
+def _laurent_from_q_polynomial(order, terms):
+    """(1 - q)**(2n) R_n / x**(2n) as exact power-series coefficients in x.
+
+    The q-polynomial numerator with q**k = exp(-k x) expanded, divided by
+    ((1 - exp(-x)) / x)**(2n); coefficient j is that of x**(j - 2n) in R_n.
+    """
+    numerator = [Fraction(0)] * terms
+    for k, coefficients in enumerate(Q_POLYNOMIALS[order]):
+        exp_kx = [Fraction((-k) ** j, math.factorial(j)) for j in range(terms)]
+        poly = [Fraction(c) for c in coefficients] + [Fraction(0)] * terms
+        numerator = [u + v for u, v in
+                     zip(numerator, _series_product(poly, exp_kx, terms))]
+    one_minus_q_over_x = [Fraction((-1) ** j, math.factorial(j + 1))
+                          for j in range(terms)]
+    denominator = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+    for _ in range(2 * order):
+        denominator = _series_product(denominator, one_minus_q_over_x, terms)
+    quotient = []  # denominator[0] == 1
+    for j in range(terms):
+        quotient.append(numerator[j] - sum(quotient[i] * denominator[j - i]
+                                           for i in range(j)))
+    return quotient
+
+
+class TestLaurentDerivation:
+    """The Laurent and q -> 0 branches, derived from the q-polynomials."""
+
+    @pytest.mark.parametrize("order", (2, 3, 4))
+    def test_transcription_matches_factor(self, order):
+        factor = series._FACTORS[order]
+        for x in (0.3, 1.0, 4.0, 20.0):
+            q = math.exp(-x)
+            numerator = sum(q**k * sum(c * x**i for i, c in enumerate(p))
+                            for k, p in enumerate(Q_POLYNOMIALS[order]))
+            regular, pole = factor(x)
+            assert pole == 0
+            assert regular == pytest.approx(
+                numerator / (-math.expm1(-x)) ** (2 * order), rel=1e-13)
+
+    @pytest.mark.parametrize("order", (2, 3, 4))
+    def test_laurent_series_derived_exactly(self, order):
+        coefficients, pole = LAURENT[order]
+        first = 2 * order - pole
+        derived = _laurent_from_q_polynomial(order, first + len(coefficients))
+        # every term below the pole cancels exactly
+        assert derived[:first] == [0] * first
+        assert derived[first:] == coefficients
+
+    @pytest.mark.parametrize("order", (2, 3, 4))
+    def test_laurent_branch_carries_the_derived_coefficients(
+            self, order, monkeypatch):
+        # the branch taken far above its switch, where every term shows
+        coefficients, pole = LAURENT[order]
+        monkeypatch.setattr(series, "X_SERIES_THRESHOLD", math.inf)
+        for x in (0.5, 1.0, 2.0):
+            regular, k = series._FACTORS[order](x)
+            assert k == pole
+            want = sum(c * Fraction(x) ** j for j, c in enumerate(coefficients))
+            assert regular == pytest.approx(float(want), rel=1e-14)
+
+    @pytest.mark.parametrize("order", (2, 3, 4))
+    def test_asymptote_is_the_q0_term(self, order):
+        constant, pole = ASYMPTOTES[order]
+        # p_0 is constant * x**(-pole)
+        assert Q_POLYNOMIALS[order][0] == [0] * -pole + [constant]
+        assert series._FACTORS[order](2.0 * X_ASYMPTOTIC) == (constant, pole)
+
+
+class TestSymmetries:
+    """x -> x/sqrt(m) maps H(m, omega, lam) onto H(1, omega, lam/m**2).
+
+    So F(m 2**j, omega, lam 4**j, beta) = F(m, omega, lam, beta), and with
+    powers of two every input scales exactly: any difference is the code's.
+    """
+
+    @staticmethod
+    def _outcome(params):
+        try:
+            fe = series_eval(params)
+        except (ValidationError, ConvergenceError) as exc:
+            return type(exc)
+        return [v.hex() for v in (fe.omega_big, fe.f0, fe.c2, fe.c3, fe.c4)]
+
+    def test_series_mass_scaling_is_bit_identical(self):
+        rng = np.random.default_rng(20261019)
+
+        def log_uniform(decades):
+            return float(10.0 ** rng.uniform(-decades, decades))
+
+        for _ in range(6000):
+            m = log_uniform(100)
+            omega = 0.0 if rng.random() < 0.25 else log_uniform(100)
+            params = ModelParams(m=m, omega=omega, lam=log_uniform(250),
+                                 beta=log_uniform(250))
+            j = int(rng.integers(-30, 31))
+            twin = ModelParams(m=math.ldexp(m, j), omega=omega,
+                               lam=math.ldexp(params.lam, 2 * j),
+                               beta=params.beta)
+            assert self._outcome(twin) == self._outcome(params), (params, j)
 
 
 class TestClosedCorrections:

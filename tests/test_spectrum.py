@@ -347,6 +347,31 @@ class TestExactFreeEnergy:
             assert err.value.value == pytest.approx(f_4096, abs=1e-9)
             assert abs(err.value.value - f_4096) <= err.value.bound
 
+    def test_mass_scaling_and_dilation_are_bit_identical(self):
+        # x -> x/sqrt(m) gives F(m 2**j, omega, lam 4**j, beta) = F, and the
+        # dilation s = 2**k gives F(omega/s, lam/s**3, beta s) = F/s with the
+        # basis frequency (and the absolute tol) scaled by 1/s too: H/s in
+        # the same basis, every input scaled exactly.  T = 2 stops at basis
+        # 128; T = 450 reaches the cap, through the concurrent branch.
+        s = 2.0**5
+
+        def outcome(params, nu, tol):
+            try:
+                res = exact_free_energy(params, tol=tol, nu=nu)
+            except ConvergenceError as exc:
+                return exc.value, exc.bound, None
+            return res.value, res.step, res.basis_size
+
+        for temp, basis in ((2.0, 128), (450.0, None)):
+            p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / temp)
+            nu = solve_gap(p).omega_big
+            twin = ModelParams(m=8.0 * p.m, omega=p.omega / s,
+                               lam=64.0 * p.lam / s**3, beta=p.beta * s)
+            value, step, size = outcome(p, nu, spectrum.DEFAULT_TOL)
+            assert size == basis
+            assert outcome(twin, nu / s, spectrum.DEFAULT_TOL / s) == (
+                value / s, step / s, size)
+
     def test_doubling_step_bounds_upper_half_tail(self):
         # the n/2 basis is a principal submatrix of the n one, so by Cauchy
         # interlacing its levels lie above the lowest n/2 of the n basis:
