@@ -4,7 +4,13 @@ Variational perturbation expansion around an optimized harmonic reference:
 the first-order (variational) free energy plus closed-form corrections
 through fourth order, cross-checked by two independent oracles
 (imaginary-time diagram quadrature and exact diagonalization).
+
+The series path is pure ``math``.  The oracles' names are re-exported
+lazily: ``diagrams`` and ``spectrum``, and numpy with them, are imported
+on first access to one of those names.
 """
+
+import importlib
 
 from .core import (
     ModelParams,
@@ -13,12 +19,6 @@ from .core import (
     harmonic_free_energy,
     rescale,
     unrescale,
-)
-from .diagrams import (
-    DiagramSpec,
-    builtin_diagrams,
-    quad_correction,
-    quad_diagram,
 )
 from .errors import ConvergenceError, ValidationError
 from .runs import (
@@ -37,10 +37,19 @@ from .series import (
     series_eval,
     temperature_factor,
 )
-from .spectrum import ExactResult, exact_free_energy
 from .variational import VariationalSolution, solve_gap
 
 __version__ = "0.1.0"
+
+# name -> module of the oracle re-exports; see __getattr__
+_LAZY = {
+    "DiagramSpec": "diagrams",
+    "builtin_diagrams": "diagrams",
+    "quad_correction": "diagrams",
+    "quad_diagram": "diagrams",
+    "ExactResult": "spectrum",
+    "exact_free_energy": "spectrum",
+}
 
 __all__ = [
     "ConvergenceError",
@@ -73,3 +82,16 @@ __all__ = [
     "unrescale",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """Import an oracle's module on first access to one of its names (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -18,14 +18,15 @@ Reduced variables (valid for m = 1): the substitution x -> lambda^{-1/6} x maps
     z = (1/2) omega^2 lambda^{-2/3},   T_red = T lambda^{-1/3},   F_red = F lambda^{-1/3},
 
 so reduced free energies depend on (z, T_red) only.
+
+Everything here is pure ``math`` except :meth:`Propagator.at_separation`,
+the quadrature oracle's array form, which imports numpy on its first call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -149,6 +150,10 @@ class Propagator:
 
     def at_separation(self, s):
         """G at separation s = |tau - tau'|, s in [0, beta]."""
+        # not imported at the top: the series path is pure math and should
+        # not pay for numpy's import at start-up
+        import numpy as np
+
         s = np.asarray(s, dtype=float)
         if np.any(s < 0.0) or np.any(s > self.beta * (1.0 + 1e-12)):
             raise ValidationError("separation must lie in [0, beta]")

@@ -3,6 +3,7 @@
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,3 +205,32 @@ def test_exported_names_resolve(name):
     # a renamed function must leave no stale entry in __all__ behind
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+class TestPackageApi:
+    """The package re-exports the oracles lazily (PEP 562 ``__getattr__``)."""
+
+    def test_star_import_and_dir_list_every_export(self):
+        namespace = {}
+        exec("from quartic_vpe import *", namespace)
+        assert set(quartic_vpe.__all__) <= namespace.keys()
+        assert set(quartic_vpe.__all__) <= set(dir(quartic_vpe))
+
+    def test_lazy_names_are_the_oracles_own(self):
+        from quartic_vpe import diagrams, spectrum
+
+        for name in ("DiagramSpec", "builtin_diagrams", "quad_correction",
+                     "quad_diagram"):
+            assert getattr(quartic_vpe, name) is getattr(diagrams, name)
+        for name in ("ExactResult", "exact_free_energy"):
+            assert getattr(quartic_vpe, name) is getattr(spectrum, name)
+
+    def test_unknown_attribute_message_is_the_standard_one(self):
+        with pytest.raises(AttributeError) as exc:
+            quartic_vpe.no_such_name
+        assert str(exc.value) == "module 'quartic_vpe' has no attribute 'no_such_name'"
+
+    def test_readme_library_snippet_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+        exec(block.split("```", 1)[0], {})

@@ -618,6 +618,33 @@ class TestCli:
         # the second line shows the count sees a parser being built
         assert run.stdout.split() == ["0", "True"]
 
+    def test_series_only_commands_import_no_numpy(self):
+        # one fresh interpreter: the series path is pure math, and only an
+        # oracle loads numpy; the last command shows the check can fail
+        series_only = [["table1"], ["table2"],
+                       ["point", "--lambda", "2", "--beta", "5"],
+                       ["point", "--z", "10", "--t-reduced", "1"]]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from quartic_vpe.cli import main\n"
+            "heavy = ('numpy', 'quartic_vpe.spectrum', 'quartic_vpe.diagrams')\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "    loaded = [name for name in heavy if name in sys.modules]\n"
+            "    codes.append(main(['point', '--exact']))\n"
+            "print(json.dumps([codes, loaded, 'numpy' in sys.modules]))\n"
+        )
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script, json.dumps(series_only)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        codes, loaded, numpy_after_exact = json.loads(run.stdout)
+        assert codes == [0] * (len(series_only) + 1)
+        assert loaded == []
+        assert numpy_after_exact
+
     def test_readme_command_lines_run(self, capsys):
         # a renamed flag or subcommand fails here instead of leaving the
         # README's examples stale
