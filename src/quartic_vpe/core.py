@@ -19,8 +19,8 @@ Reduced variables (valid for m = 1): the substitution x -> lambda^{-1/6} x maps
 
 so reduced free energies depend on (z, T_red) only.
 
-Everything here is pure ``math`` except :meth:`Propagator.at_separation`,
-the quadrature oracle's array form, which imports numpy on its first call.
+Everything here is pure ``math``: the quadrature oracle evaluates the
+propagator itself, from the gaps between its times (see ``diagrams``).
 """
 
 from __future__ import annotations
@@ -126,15 +126,7 @@ def check_frequency(omega_big: float) -> None:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Thermal harmonic propagator at trial frequency Omega > 0.
-
-    Evaluation uses the overflow-safe factoring
-
-        G(s) = (e^{-Omega s} + e^{-Omega (beta - s)}) / (2 m Omega (1 - e^{-beta Omega})),
-
-    exact for separations s in [0, beta]; all exponents are <= 0, so the closed
-    form stays finite for beta*Omega up to ~1e300.
-    """
+    """Thermal harmonic propagator at trial frequency Omega > 0, at equal times."""
 
     m: float
     omega_big: float
@@ -147,23 +139,6 @@ class Propagator:
                 "propagator requires m > 0, beta > 0, got "
                 f"(m={self.m}, beta={self.beta})"
             )
-
-    def at_separation(self, s):
-        """G at separation s = |tau - tau'|, s in [0, beta]."""
-        # not imported at the top: the series path is pure math and should
-        # not pay for numpy's import at start-up
-        import numpy as np
-
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0) or np.any(s > self.beta * (1.0 + 1e-12)):
-            raise ValidationError("separation must lie in [0, beta]")
-        om, beta = self.omega_big, self.beta
-        denom = -math.expm1(-beta * om)  # 1 - e^{-beta*Omega}, accurate for small x
-        num = np.exp(-om * s) + np.exp(-om * (beta - s))
-        out = num / (2.0 * self.m * om * denom)
-        if s.ndim == 0:
-            return float(out)
-        return out
 
     def equal_time(self) -> float:
         """G(tau, tau) = coth(beta Omega / 2) / (2 m Omega)."""

@@ -14,12 +14,15 @@ same integrand -- an ordering and its mirror under tau -> beta - tau,
 or orderings with identical edge lists -- are integrated once and
 weighted by their multiplicity.  Each simplex is mapped to the unit
 cube by stick-breaking and integrated with a panel-based Gauss-Legendre
-rule.  The rule is chosen by an embedded error estimate, as in QUADPACK
-(Piessens et al., 1983; Trefethen, *Approximation Theory and
-Approximation Practice*, ch. 19): each point runs a nested ladder of 8,
-16, 24 and then 32 nodes per panel once, on the one panel layout its
-beta*Omega selects, each rung's rule being the embedded error rule of the
-next.  The first rung where the two agree to the tolerance is accepted; if
+rule.  The propagator is built there from per-gap factors, in units of
+its scale 1/(2 m Omega (1 - e^{-beta Omega})), so the integrand is O(1)
+at every beta*Omega; the scale's powers, beta**(n - 1) and lambda**n join
+the prefactor as a mantissa and a binary exponent.  The rule is chosen
+by an embedded error estimate, as in QUADPACK (Piessens et al., 1983;
+Trefethen, *Approximation Theory and Approximation Practice*, ch. 19):
+each point runs a nested ladder of 8, 16, 24 and then 32 nodes per panel
+once, on the one panel layout its beta*Omega selects, each rung's rule
+being the embedded error rule of the next.  The first rung where the two agree to the tolerance is accepted; if
 the 24/32 rung fails too, the point does not converge.  At high and
 moderate temperature each axis is split into two uniform panels.  At low
 temperature the propagator localizes the integrand near the corners, so
@@ -33,10 +36,12 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
-from .core import ModelParams, Propagator
+from .core import ModelParams, check_frequency
 from .errors import ConvergenceError, ValidationError
 
 __all__ = [
@@ -210,13 +215,19 @@ def _panel_edges(x: float) -> np.ndarray:
     return np.array(left + [1.0 - e for e in reversed(left) if e < 0.5])
 
 
-def _nodes_and_weights(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+def _nodes_and_weights(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, ...]:
+    """Nodes r, their complements 1 - r and weights on the panels ``edges``.
+
+    The layout mirrors about 1/2 node by node, so a right-half node takes its
+    complement exactly from the mirrored left-half node: a gap near the end
+    of an axis keeps its relative precision however small it is.
+    """
     gauss_t, gauss_w = np.polynomial.legendre.leggauss(nodes_per_panel)
     mids = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     nodes = (mids[:, None] + half[:, None] * gauss_t[None, :]).ravel()
     weights = (half[:, None] * gauss_w[None, :]).ravel()
-    return nodes, weights
+    return nodes, np.where(nodes > 0.5, nodes[::-1], 1.0 - nodes), weights
 
 
 Ordering = tuple[tuple[tuple[int, int], int], ...]
@@ -267,50 +278,50 @@ def _slot_orderings(diagram: DiagramSpec, mode: str) -> list[tuple[int, Ordering
 
 
 def _integrate_level(
-    propagator: Propagator,
     per_diagram: list[list[tuple[int, Ordering]]],
     dim: int,
+    x: float,
     nodes: np.ndarray,
+    complements: np.ndarray,
     weights: np.ndarray,
     mode: str,
 ) -> np.ndarray:
-    """Raw simplex integrals for same-order diagrams on one product grid."""
-    beta = propagator.beta
-    n_nodes = nodes.size
+    """Simplex integrals for same-order diagrams on one product grid, in
+    units of beta**(n - 1) (2 m Omega (1 - e^{-x}))**(-2n), x = beta*Omega.
+
+    Stick-breaking gives the gap u_k from slot k to slot k + 1 and the
+    stick v_k left after slot k, both in units of beta; v_k is a product of
+    complements, so the gaps from slot k on, closing gap included, sum to
+    it exactly.  In these units the propagator between slots a < b is
+    E_a...E_{b-1} + E_0...E_{a-1} e^{-x v_b} with E_k = e^{-x u_k}: it lies
+    in (0, 2] and depends on the first b axes only.
+    """
     needed_pairs = {
         pair for classes in per_diagram for _, edge_slots in classes for pair, _ in edge_slots
     }
 
     totals = np.zeros(len(per_diagram))
-    chunk = CHUNK_NODES if dim > 1 else n_nodes
-    for start in range(0, n_nodes, chunk):
-        stop = min(start + chunk, n_nodes)
-        positions: list[np.ndarray | float] = [0.0]
+    chunk = CHUNK_NODES if dim > 1 else nodes.size
+    for start in range(0, nodes.size, chunk):
         measure: np.ndarray | float = 1.0
-        remaining: np.ndarray | float = beta
-        current: np.ndarray | float = 0.0
+        remaining: np.ndarray | float = 1.0
+        gaps = []  # E_k
+        tails = []  # e^{-x v_{k+1}}
         for axis in range(dim):
             shape = [1] * dim
-            if axis == 0:
-                r_ax = nodes[start:stop]
-                w_ax = weights[start:stop]
-            else:
-                r_ax = nodes
-                w_ax = weights
-            shape[axis] = r_ax.size
-            r_ax = r_ax.reshape(shape)
-            w_ax = w_ax.reshape(shape)
-            gap = remaining * r_ax
+            shape[axis] = -1
+            part = slice(start, start + chunk) if axis == 0 else slice(None)
+            r_ax, c_ax, w_ax = (a[part].reshape(shape) for a in (nodes, complements, weights))
             measure = measure * w_ax * remaining
-            current = current + gap
-            positions.append(current)
-            remaining = remaining * (1.0 - r_ax)
+            gaps.append(np.exp(-x * (remaining * r_ax)))
+            remaining = remaining * c_ax
+            tails.append(np.exp(-x * remaining))
         if mode == "full":
             measure = measure * remaining
-        powered = {
-            ((a, b), 1): propagator.at_separation(positions[b] - positions[a])
-            for (a, b) in needed_pairs
-        }
+        powered = {}
+        for a, b in needed_pairs:
+            outside = tails[b - 1] if a == 0 else tails[b - 1] * reduce(mul, gaps[:a])
+            powered[(a, b), 1] = reduce(mul, gaps[a:b]) + outside
         for index, classes in enumerate(per_diagram):
             for count, edge_slots in classes:
                 product: np.ndarray | None = None
@@ -331,15 +342,14 @@ def _rungs(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(values, |values - embedded|) of each rung of ``LADDER`` on the
     panel layout of ``_panel_edges``."""
-    propagator = Propagator(params.m, omega_big, params.beta)
     per_diagram = [_slot_orderings(d, mode) for d in diagrams]
     dim = diagrams[0].order - 1
-    edges = _panel_edges(params.beta * omega_big)
+    x = params.beta * omega_big
+    edges = _panel_edges(x)
     embedded = None
     for nodes_per_panel in LADDER:
         values = _integrate_level(
-            propagator, per_diagram, dim,
-            *_nodes_and_weights(edges, nodes_per_panel), mode,
+            per_diagram, dim, x, *_nodes_and_weights(edges, nodes_per_panel), mode,
         )
         if embedded is not None:
             yield values, np.abs(values - embedded)
@@ -355,44 +365,49 @@ def _refined_integrals(
     mode: str,
     what: str,
 ) -> float:
-    """Sum of ``coeffs`` times the diagrams' simplex integrals, times 2**exponent.
+    """Sum of ``coeffs`` times the diagrams' scaled simplex integrals, times
+    2**exponent.
 
-    The power of two keeps ``coeffs`` ordinary (lam**4 overflows from lam of
-    about 1e77 up).  A rung whose raw integrals overflow, as G**8 does below
-    beta*Omega of about 1e-59 at m = omega = lambda = 1, raises
-    ConvergenceError at once.  Otherwise accepts the first rung of
-    ``_rungs`` where every diagram's |full - embedded| is below ``REL_TOL``
-    times |full|; else raises ConvergenceError with the last rung's value
-    and bound sum(|coeffs| * |full - embedded|).  The strict test rejects a
-    rung that integrates to exactly zero, as every rung does once all nodes
-    sit beyond the decay length (beta*Omega above about 2e17).  Round-off
-    grows like beta*Omega*eps and reaches ``REL_TOL`` near beta*Omega = 1e8,
-    so points are certified up to about 4e7 and fail from about 7e7.  Once
-    the embedded rule resolves the integrand, the difference over-estimates
-    the error of the value returned; an embedded rule of one or two nodes on
-    panels wider than the decay length 1/(beta Omega) could agree with the
-    full rule by accident, so the ladder starts at 8.
+    Accepts the first rung of ``_rungs`` where every diagram's
+    |full - embedded| is below ``REL_TOL`` times |full|; else raises
+    ConvergenceError with the last rung's value and bound
+    sum(|coeffs| * |full - embedded|).  The strict test rejects a rung
+    that integrates to exactly zero, as every rung does once all nodes sit
+    beyond the decay length.  Once the embedded rule resolves the
+    integrand, the difference over-estimates the error of the value
+    returned; an embedded rule of one or two nodes on panels wider than
+    the decay length 1/(beta Omega) could agree with the full rule by
+    accident, so the ladder starts at 8.
     One BLAS thread on a 2-core VM, m = omega = lambda = 1: order 4 costs
     3 ms at beta*Omega <= 2 (the 8/16 rung passes), 11 ms at 3-10 (16/24)
     and 28 ms at 12-24 (24/32); on graded panels 0.16-0.18 s at beta*Omega
     24-64, 0.28 s at 72-128, 0.43-0.5 s at 160-400, 1.3 s at 1000 and
     about 2 s at 1600-8000; orders 2 and 3 take a few ms.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for values, bounds in _rungs(params, omega_big, diagrams, mode):
-            if not np.all(np.isfinite(values)):
-                raise ConvergenceError(
-                    f"{what}: the integrand overflows double precision at "
-                    f"beta*Omega = {params.beta * omega_big:.3g}"
-                )
-            if np.all(bounds < REL_TOL * np.abs(values)):
-                return math.ldexp(float(np.sum(coeffs * values)), exponent)
+    for values, bounds in _rungs(params, omega_big, diagrams, mode):
+        if np.all(bounds < REL_TOL * np.abs(values)):
+            return math.ldexp(float(np.sum(coeffs * values)), exponent)
     raise ConvergenceError(
         f"{what} did not stabilize to rel_tol={REL_TOL} "
         f"on the {LADDER[-2]}/{LADDER[-1]} rung",
         value=math.ldexp(float(np.sum(coeffs * values)), exponent),
         bound=math.ldexp(float(np.sum(np.abs(coeffs) * bounds)), exponent),
     )
+
+
+def _scale(params: ModelParams, omega_big: float, n: int) -> tuple[float, int]:
+    """lam**n beta**(n - 1) / (2 m Omega (1 - e^{-beta Omega}))**(2n), the
+    powers that ``_integrate_level`` leaves out, as (mantissa, binary
+    exponent): every factor enters through ``math.frexp``, so no power
+    leaves double range."""
+    check_frequency(omega_big)
+    lam, e_lam = math.frexp(params.lam)
+    beta, e_beta = math.frexp(params.beta)
+    m, e_m = math.frexp(params.m)
+    om, e_om = math.frexp(omega_big)
+    d, e_d = math.frexp(-math.expm1(-params.beta * omega_big))
+    mantissa = lam**n * beta ** (n - 1) / (2.0 * m * om * d) ** (2 * n)
+    return mantissa, n * e_lam + (n - 1) * e_beta - 2 * n * (e_m + e_om + e_d)
 
 
 def quad_diagram(
@@ -413,12 +428,10 @@ def quad_diagram(
     if mode not in ("reduced", "full"):
         raise ValidationError(f"mode must be 'reduced' or 'full', got {mode}")
     n = diagram.order
-    lam, e_lam = math.frexp(params.lam)
-    prefactor = diagram.sign * lam**n / math.factorial(n) * diagram.symmetry_factor
-    if mode == "full":
-        prefactor /= params.beta
+    scale, exponent = _scale(params, omega_big, n)
+    prefactor = diagram.sign * scale / math.factorial(n) * diagram.symmetry_factor
     return _refined_integrals(params, omega_big, [diagram], np.array([prefactor]),
-                              n * e_lam, mode, f"quadrature for diagram {diagram.label}")
+                              exponent, mode, f"quadrature for diagram {diagram.label}")
 
 
 def quad_correction(params: ModelParams, omega_big: float, order: int) -> float:
@@ -430,8 +443,8 @@ def quad_correction(params: ModelParams, omega_big: float, order: int) -> float:
     chosen = [d for d in builtin_diagrams() if d.order == order]
     if not chosen:
         raise ValidationError(f"no built-in diagrams of order {order}")
-    lam, e_lam = math.frexp(params.lam)
-    base = chosen[0].sign * lam**order / math.factorial(order)
+    scale, exponent = _scale(params, omega_big, order)
+    base = chosen[0].sign * scale / math.factorial(order)
     coeffs = base * np.array([d.symmetry_factor for d in chosen])
-    return _refined_integrals(params, omega_big, chosen, coeffs, order * e_lam,
+    return _refined_integrals(params, omega_big, chosen, coeffs, exponent,
                               "reduced", f"order-{order} quadrature")

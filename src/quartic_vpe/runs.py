@@ -241,6 +241,10 @@ def run_sweep(base: ModelParams, var: str, start: float, stop: float,
         )
     if points < 2:
         raise ValidationError(f"sweep needs at least 2 points, got {points}")
+    if not math.isfinite(stop - start):
+        raise ValidationError(
+            f"{var} sweep from {start} to {stop} spans more than double precision holds"
+        )
     import numpy as np
 
     if log_spacing:

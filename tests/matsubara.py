@@ -1,7 +1,8 @@
 """The trial propagator as a truncated Matsubara sum, for checking the closed form.
 
 Shared by ``test_core.py`` and acceptance criterion 8; the package itself
-only evaluates the closed form (``quartic_vpe.core.Propagator``).
+evaluates only closed forms: G(0) in ``quartic_vpe.core.Propagator`` and the
+gap-factor form in ``quartic_vpe.diagrams``.
 """
 
 import math

@@ -258,7 +258,7 @@ class TestAcceptance:
         closed form at the expected O(1/n_max) rate."""
         failures = []
         prop = Propagator(m=1.3, omega_big=1.7, beta=2.4)
-        target = prop.at_separation(0.0)
+        target = prop.equal_time()
         n_values = (100, 200, 400, 800)
         errs = [abs(propagator_matsubara(prop, 0.0, n) - target)
                 for n in n_values]

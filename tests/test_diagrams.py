@@ -1,6 +1,7 @@
 """Diagram validation and quadrature-oracle consistency checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from quartic_vpe.diagrams import (
     LADDER,
     REL_TOL,
     DiagramSpec,
+    _nodes_and_weights,
     _panel_edges,
     _rungs,
     _slot_orderings,
@@ -140,6 +142,17 @@ class TestPanelEdges:
             np.testing.assert_array_equal(edges, 1.0 - edges[::-1])
             assert edges.size == n_edges
 
+    def test_right_half_complements_are_the_mirrored_nodes(self):
+        # a complement near 0 is the mirrored left-half node itself, not
+        # 1 - r rounded to a multiple of eps
+        for x in (2.0, 100.0, 1e12):
+            nodes, complements, _ = _nodes_and_weights(_panel_edges(x), 24)
+            right = nodes > 0.5
+            np.testing.assert_array_equal(complements[right], nodes[::-1][right])
+            np.testing.assert_array_equal(complements[~right], 1.0 - nodes[~right])
+            np.testing.assert_allclose(nodes + complements, 1.0, rtol=0.0, atol=2e-16)
+            assert complements.min() == nodes.min()
+
 
 class TestOracleAgreement:
     def test_closed_forms_reproduced(self):
@@ -239,6 +252,45 @@ class TestOracleAgreement:
             27.0 * p.lam**3 / (16.0 * p.m**6 * w**8), rel=1e-8
         )
 
+    def test_range_scan(self):
+        # the integrand is built from per-gap factors e^{-beta Omega u_k}, so
+        # no separation is a difference of positions: orders 2-3 are ok from
+        # beta*Omega = 1e-6 to 1e12, at round-off outside the closed forms'
+        # own cancellation band 0.01-0.05 (see README)
+        for x in np.geomspace(1e-6, 1e12, 50):
+            p = point_at(float(x))
+            w = solve_gap(p).omega_big
+            for order in (2, 3):
+                quad = quad_correction(p, w, order)
+                if not 0.01 <= x <= 0.05:
+                    assert quad == pytest.approx(closed_correction(p, w, order), rel=5e-14), x
+        for x in (0.2, 1.0, 5.0, 20.0, 100.0):
+            p = point_at(x)
+            w = solve_gap(p).omega_big
+            assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=5e-14)
+
+
+class TestSymmetries:
+    def test_mass_scaling_and_dilation_are_bit_identical(self):
+        # x -> x/sqrt(m) maps (m, omega, lambda) onto (1, omega, lambda/m^2), so
+        # the twin (m*8, lambda*64) has the same Omega and correction; the
+        # dilation (omega/s, lambda/s^3, beta*s) has Omega/s and the correction
+        # divided by s.  With s = 2**-7 every input scales exactly, so the bits
+        # must agree.  Omega is scaled here, not solved again, so only the
+        # quadrature is tested.  The last point's dilated twin once came out
+        # degraded: its raw order-4 integrals underflowed.
+        s = 2.0**-7
+        for m, om, lam, beta in [(1.0, 1.0, 1.0, 0.7), (1.0, 1.0, 1.0, 5.0), (0.3, 2.0, 7.0, 3.0),
+                                 (1.0, 1.0, 1.0, 40.0), (1.0, 1.0, 1e80, 1e-24)]:
+            p = ModelParams(m=m, omega=om, lam=lam, beta=beta)
+            w = solve_gap(p).omega_big
+            heavy = replace(p, m=m * 8.0, lam=lam * 64.0)
+            dilated = ModelParams(m=m, omega=om / s, lam=lam / s**3, beta=beta * s)
+            for order in (2, 3, 4):
+                value = quad_correction(p, w, order).hex()
+                assert quad_correction(heavy, w, order).hex() == value, (p, order)
+                assert (quad_correction(dilated, w / s, order) * s).hex() == value, (p, order)
+
 
 class TestFailureModes:
     def test_non_convergence_reports_estimate(self, monkeypatch):
@@ -273,8 +325,12 @@ class TestFailureModes:
             w = solve_gap(p).omega_big
             for order in (2, 3, 4):
                 chosen = [d for d in builtin_diagrams() if d.order == order]
+                # _rungs integrates in units of beta**(n - 1) times the
+                # propagator scale 1/(2 m Omega (1 - e^{-beta Omega})) per power
+                scale = p.beta ** (order - 1) / (
+                    2.0 * p.m * w * -math.expm1(-p.beta * w)) ** (2 * order)
                 coeffs = np.array([
-                    d.sign * p.lam**order / math.factorial(order) * d.symmetry_factor
+                    d.sign * p.lam**order / math.factorial(order) * d.symmetry_factor * scale
                     for d in chosen
                 ])
                 rejected = []
@@ -302,9 +358,11 @@ class TestFailureModes:
                 ), (x, order)
 
     def test_one_layout_per_point(self):
-        # at beta*Omega of about 2e9 round-off exceeds REL_TOL on every rung;
-        # the ladder runs once and the point fails with the 24/32 estimate
-        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e9)
+        # at beta*Omega of about 2e15 the first graded edge sits at its 2**-42
+        # floor, far beyond the decay length, and no rung resolves the
+        # integrand; the ladder runs once and the point fails with the 24/32
+        # estimate
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e15)
         w = solve_gap(p).omega_big
         chosen = [d for d in builtin_diagrams() if d.order == 3]
         assert len(list(_rungs(p, w, chosen, "reduced"))) == len(LADDER) - 1

@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -488,6 +489,23 @@ class TestCli:
         assert code == 0
         assert len(csv_records(capsys.readouterr().out)) == 3
 
+    @pytest.mark.parametrize("var, start, stop", [
+        ("lam", "1e308", "-1e308"), ("omega", "-1e308", "1e308"),
+    ])
+    def test_overflowing_sweep_range_is_one_error_line(self, var, start, stop, capsys):
+        # stop - start overflows: the range is named before any grid is built,
+        # so no numpy warning and no nan grid point reach the user
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--var", var, f"--from={start}", f"--to={stop}",
+                         "--points", "3"])
+        assert (code, caught) == (1, [])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {var} sweep from {float(start)} to {float(stop)} spans more "
+            "than double precision holds\n")
+
     def test_oracle_check_ok(self, capsys):
         code = main(["oracle-check", "--beta", "2", "--order", "2"])
         assert code == 0
@@ -567,8 +585,9 @@ class TestCli:
         capsys.readouterr()
 
     def test_non_convergence_exits_2(self, capsys):
-        # at beta*Omega = 2e9 round-off exceeds the quadrature tolerance
-        code = main(["oracle-check", "--beta", "1e9", "--order", "3"])
+        # at beta*Omega = 2e15 the graded panels no longer reach the decay
+        # length, and no rung meets the quadrature tolerance
+        code = main(["oracle-check", "--beta", "1e15", "--order", "3"])
         assert code == 2
         records = csv_records(capsys.readouterr().out)
         assert [r["status"] for r in records] == ["degraded", "degraded"]
