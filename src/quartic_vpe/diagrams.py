@@ -21,13 +21,12 @@ the prefactor as a mantissa and a binary exponent.  The rule is chosen
 by an embedded error estimate, as in QUADPACK (Piessens et al., 1983;
 Trefethen, *Approximation Theory and Approximation Practice*, ch. 19):
 each point runs a nested ladder of 8, 16, 24 and then 32 nodes per panel
-once, on the one panel layout its beta*Omega selects, each rung's rule
-being the embedded error rule of the next.  The first rung where the two agree to the tolerance is accepted; if
-the 24/32 rung fails too, the point does not converge.  At high and
-moderate temperature each axis is split into two uniform panels.  At low
-temperature the propagator localizes the integrand near the corners, so
-the panels are graded geometrically toward both ends of every axis, each
-panel about 8 times as wide as its neighbour nearer the axis end.
+once, each rule the embedded error rule of the next, and accepts the
+first rung where the two agree to the tolerance.  Each axis has two
+uniform panels up to beta*Omega = 24, and five graded toward both ends up
+to ``X_SECTOR`` = 42.  Beyond that each integral is its sector limit
+(Hepp, Commun. Math. Phys. 2 (1966) 301; Binoth and Heinrich, Nucl.
+Phys. B 585 (2000) 741; see ``_sector_sum``).
 """
 
 from __future__ import annotations
@@ -172,47 +171,41 @@ REL_TOL = 1e-9
 # rung up to beta*Omega of about 2, on 16/24 up to about 10 and on 24/32 up
 # to the grading threshold (orders 2 and 3 on 8/16 up to about 3, on 24/32
 # only above about 20), so every uniform point passes on its layout.  The
-# graded panels end on 16/24 at every order and every beta*Omega scanned
-# from 24.1 to 8000.
+# graded panels end on 16/24 at every order at 13 points from 24.02 to 42.
 LADDER = (8, 16, 24, 32)
 PANELS_PER_DIM = 2
-# Width ratio of neighbouring graded panels.  Measured on order 4 at
-# beta*Omega = 40, 400 and 1600 against ratio 2: ratio 4 costs 0.6-1.0x,
-# ratio 8 0.2-0.3x, and ratio 16 1.2-3x what ratio 8 costs.
+# Width ratio of neighbouring graded panels.  On order 4 at beta*Omega = 24-40
+# (edges continued to 1/2) ratio 8 costs 0.35-0.67x what 2, 4 and 16 cost.
 GRADING_RATIO = 8
 # Beyond this beta*Omega the panels are graded toward both axis ends.  The
 # two uniform panels pass up to about 25.5 (order 4's estimate is 2e-10 at
 # 24 and 7e-10 at 25.5); beyond that order 4 fails on them.
 GRADING_THRESHOLD = 24.0
+# Beyond this beta*Omega each diagram takes its sector limit.  The dropped
+# terms are at most (2.8 x + 22) e^{-x} of it at x = beta*Omega (diagram 4c,
+# the largest), 8.0e-17 < 2**-53 at x = 42 and 2.1e-16 at 41.
+X_SECTOR = 42.0
 # axis-0 nodes evaluated per product-grid chunk (bounds the working memory)
 CHUNK_NODES = 16
 
 
 def _panel_edges(x: float) -> np.ndarray:
-    """Panel boundaries in r-space [0, 1] for beta*Omega = ``x``.
+    """Panel boundaries in r-space [0, 1] for beta*Omega = ``x`` <= ``X_SECTOR``.
 
-    Beyond the grading threshold the propagator decay length 1/x (in
-    units of the axis) is resolved with geometrically shrinking panels
-    at both ends of the axis: edges at 1/x and every ``GRADING_RATIO``
-    times that below 1/2, plus 1/2 itself where the centre panel would
-    span more than that ratio, mirrored about 1/2.  The edges sit at fixed
-    multiples of the decay length: anchored at a power of two instead,
-    the panel from about 4 to 32 decay lengths leaves the 16-node rule
+    Beyond the grading threshold five panels resolve the decay length 1/x
+    (in units of the axis) at both ends: edges at 1/x and ``GRADING_RATIO``
+    times that, mirrored about 1/2.  Anchored at a power of two instead of
+    1/x, the panel from about 4 to 32 decay lengths leaves the 16-node rule
     3e-10 off, and the 8/16 rung accepts that wherever the 8-node error
-    crosses it.  The first edge keeps 4 mantissa bits, so every edge and
-    its mirror are exact; unrounded edges triple the round-off error.
+    crosses it.  The first edge keeps 4 mantissa bits, so every edge and its
+    mirror are exact; unrounded edges triple the round-off error.
     """
     if x <= GRADING_THRESHOLD:
         return np.linspace(0.0, 1.0, PANELS_PER_DIM + 1)
-    mantissa, exponent = math.frexp(max(1.0 / x, 2.0 ** -42))
+    mantissa, exponent = math.frexp(1.0 / x)
     edge = math.ldexp(round(mantissa * 16) / 16, exponent)
-    left = [0.0]
-    while edge < 0.5:
-        left.append(edge)
-        edge *= GRADING_RATIO
-    if 1.0 - left[-1] > GRADING_RATIO * left[-1]:
-        left.append(0.5)
-    return np.array(left + [1.0 - e for e in reversed(left) if e < 0.5])
+    left = [0.0, edge, GRADING_RATIO * edge]
+    return np.array(left + [1.0 - e for e in reversed(left)])
 
 
 def _nodes_and_weights(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, ...]:
@@ -250,14 +243,8 @@ def _slot_orderings(diagram: DiagramSpec, mode: str) -> list[tuple[int, Ordering
     identical edge lists merge there.
     """
     n = diagram.order
-    if mode == "reduced":
-        perms = itertools.permutations(range(n - 1))
-        anchored = {n - 1: 0}
-        first_free_slot = 1
-    else:
-        perms = itertools.permutations(range(n))
-        anchored = {}
-        first_free_slot = 0
+    reduced = mode == "reduced"
+    first = 1 if reduced else 0  # slot of the first permuted vertex
 
     def edge_list(slot_of: dict[int, int]) -> Ordering:
         return tuple(sorted(
@@ -266,15 +253,32 @@ def _slot_orderings(diagram: DiagramSpec, mode: str) -> list[tuple[int, Ordering
         ))
 
     multiplicity: dict[Ordering, int] = {}
-    for perm in perms:
-        slot_of = dict(anchored)
+    for perm in itertools.permutations(range(n - first)):
+        slot_of = {n - 1: 0} if reduced else {}
         for k, vertex in enumerate(perm):
-            slot_of[vertex] = first_free_slot + k
+            slot_of[vertex] = first + k
         key = edge_list(slot_of)
-        if mode == "reduced":
+        if reduced:
             key = min(key, edge_list({v: (n - k) % n for v, k in slot_of.items()}))
         multiplicity[key] = multiplicity.get(key, 0) + 1
     return [(count, key) for key, count in multiplicity.items()]
+
+
+def _sector_sum(diagram: DiagramSpec) -> float:
+    """(beta Omega)**(n - 1) times the reduced simplex integral as beta*Omega
+    -> inf, rounded once from the exact sum over orderings and long gap j of
+    prod_(k != j) 1/cov_k(j).  Gap k runs from slot k to k + 1; cov_k(j) >= 1
+    (the diagram is connected) sums the powers of the edges (slots a < b)
+    with exactly one of j and k in [a, b), whose arc avoiding j covers k."""
+    n = diagram.order
+    num, den = 0, 1
+    for count, edge_slots in _slot_orderings(diagram, "reduced"):
+        for j in range(n):
+            cover = math.prod(
+                sum(power for (a, b), power in edge_slots if (a <= k < b) != (a <= j < b))
+                for k in range(n) if k != j)
+            num, den = num * cover + count * den, den * cover
+    return num / den
 
 
 def _integrate_level(
@@ -356,34 +360,30 @@ def _rungs(
         embedded = values
 
 
-def _refined_integrals(
-    params: ModelParams,
-    omega_big: float,
-    diagrams: list[DiagramSpec],
-    coeffs: np.ndarray,
-    exponent: int,
-    mode: str,
-    what: str,
-) -> float:
+def _refined_integrals(params: ModelParams, omega_big: float, diagrams: list[DiagramSpec],
+                       coeffs: np.ndarray, exponent: int, mode: str, what: str) -> float:
     """Sum of ``coeffs`` times the diagrams' scaled simplex integrals, times
     2**exponent.
 
-    Accepts the first rung of ``_rungs`` where every diagram's
+    Above ``X_SECTOR`` each integral is its sector limit; beta and Omega
+    enter through ``math.frexp``, so beta*Omega may overflow.  Below it,
+    accepts the first rung of ``_rungs`` where every diagram's
     |full - embedded| is below ``REL_TOL`` times |full|; else raises
     ConvergenceError with the last rung's value and bound
-    sum(|coeffs| * |full - embedded|).  The strict test rejects a rung
-    that integrates to exactly zero, as every rung does once all nodes sit
-    beyond the decay length.  Once the embedded rule resolves the
+    sum(|coeffs| * |full - embedded|).  Once the embedded rule resolves the
     integrand, the difference over-estimates the error of the value
     returned; an embedded rule of one or two nodes on panels wider than
     the decay length 1/(beta Omega) could agree with the full rule by
-    accident, so the ladder starts at 8.
-    One BLAS thread on a 2-core VM, m = omega = lambda = 1: order 4 costs
-    3 ms at beta*Omega <= 2 (the 8/16 rung passes), 11 ms at 3-10 (16/24)
-    and 28 ms at 12-24 (24/32); on graded panels 0.16-0.18 s at beta*Omega
-    24-64, 0.28 s at 72-128, 0.43-0.5 s at 160-400, 1.3 s at 1000 and
-    about 2 s at 1600-8000; orders 2 and 3 take a few ms.
+    accident, so the ladder starts at 8.  Order 4 costs 3 ms at
+    beta*Omega <= 2, 11 ms at 3-10, 28 ms at 12-24 and 0.19-0.33 s at 24-42,
+    a sector limit 0.3 ms (one BLAS thread, 2-core VM).
     """
+    if params.beta * omega_big > X_SECTOR:
+        sums = np.array([_sector_sum(d) for d in diagrams])
+        (beta, e_beta), (om, e_om) = math.frexp(params.beta), math.frexp(omega_big)
+        n = diagrams[0].order
+        return math.ldexp(float(np.sum(coeffs * sums)) / (beta * om) ** (n - 1),
+                          exponent - (n - 1) * (e_beta + e_om))
     for values, bounds in _rungs(params, omega_big, diagrams, mode):
         if np.all(bounds < REL_TOL * np.abs(values)):
             return math.ldexp(float(np.sum(coeffs * values)), exponent)
@@ -418,12 +418,12 @@ def quad_diagram(
 ) -> float:
     """Contribution of one diagram to the free energy, by quadrature.
 
-    Returns sign * (lambda^n / n!) * N * integral, i.e. the same
-    quantity the closed forms of ``series`` decompose; summing the
-    diagrams of one order reproduces the corresponding correction.
-    ``mode="full"`` integrates all n times (with the 1/beta bookkeeping
-    factor) instead of using translation invariance; the two modes
-    agreeing is a consistency check of the circle geometry.
+    Returns sign * (lambda^n / n!) * N * integral, the quantity the closed
+    forms of ``series`` decompose; the diagrams of one order sum to the
+    correction.  ``mode="full"`` integrates all n times (with the 1/beta
+    bookkeeping factor) instead of using translation invariance; the two
+    modes agreeing checks the circle geometry.  Above ``X_SECTOR`` both
+    modes return the sector limit.
     """
     if mode not in ("reduced", "full"):
         raise ValidationError(f"mode must be 'reduced' or 'full', got {mode}")

@@ -29,7 +29,9 @@ The q-polynomials come from the underlying imaginary-time integrals and
 are checked only against direct numerical quadrature of those integrals
 (see the ``diagrams`` module).  The Laurent series and the asymptotes are
 derived from the q-polynomials in exact rational arithmetic by
-``TestLaurentDerivation`` in ``tests/test_series.py``.
+``TestLaurentDerivation`` in ``tests/test_series.py``; the asymptotes are
+also reproduced from the diagram specs, as their exact sector limits, by
+``TestSectorLimit`` in ``tests/test_diagrams.py``.
 """
 
 from __future__ import annotations

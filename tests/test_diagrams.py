@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,17 +12,19 @@ from quartic_vpe.diagrams import (
     GRADING_THRESHOLD,
     LADDER,
     REL_TOL,
+    X_SECTOR,
     DiagramSpec,
     _nodes_and_weights,
     _panel_edges,
     _rungs,
+    _sector_sum,
     _slot_orderings,
     builtin_diagrams,
     quad_correction,
     quad_diagram,
 )
 from quartic_vpe.errors import ConvergenceError, ValidationError
-from quartic_vpe.series import closed_correction
+from quartic_vpe.series import _PREFACTORS, closed_correction
 from quartic_vpe.variational import solve_gap
 
 RNG = np.random.default_rng(61803)
@@ -57,6 +60,28 @@ def spectral_ring_value(p, omega_big, n_cut=5000):
     integral = float(np.sum(h**4)) / beta
     ring = next(d for d in builtin_diagrams() if d.label == "4a")
     return ring.sign * p.lam**4 / math.factorial(4) * ring.symmetry_factor * integral
+
+
+def exact_sector_sum(diagram):
+    """Sum over the reduced orderings and their long gap j of
+    prod_(k != j) 1/cov_k(j), with each edge's two arcs spelled out: gap k
+    runs from slot k to k + 1, and the edge between slots a < b covers gaps
+    a .. b - 1 on one arc and the rest of the circle on the other."""
+    n = diagram.order
+    total = Fraction(0)
+    for count, edge_slots in _slot_orderings(diagram, "reduced"):
+        for j in range(n):
+            cov = dict.fromkeys(range(n), 0)
+            for (a, b), power in edge_slots:
+                inner = set(range(a, b))
+                for k in (set(range(n)) - inner if j in inner else inner):
+                    cov[k] += power
+            term = Fraction(count)
+            for k in range(n):
+                if k != j:
+                    term /= cov[k]
+            total += term
+    return total
 
 
 def point_at(x):
@@ -132,20 +157,25 @@ class TestOrderingClasses:
 
 class TestPanelEdges:
     def test_graded_edges_increasing_and_symmetric(self):
-        # edges at about 1/x and every 8 times that below 1/2, mirrored, with
-        # 1/2 itself where the centre panel would span more than 8: 5 panels
-        # per axis at x = 25, 6 at x = 100 (split at 1/2) and 11 at 1e4
-        for x, n_edges in ((25.0, 6), (100.0, 7), (1e4, 12)):
+        # two uniform panels up to the grading threshold; above it, up to the
+        # sector switch, edges at 1/x rounded to 4 mantissa bits and 8 times
+        # that, mirrored: 5 panels per axis
+        for x in (1e-3, 2.0, GRADING_THRESHOLD):
+            np.testing.assert_array_equal(_panel_edges(x), [0.0, 0.5, 1.0])
+        for x in (1.0001 * GRADING_THRESHOLD, 25.0, 30.0, 41.0, X_SECTOR):
             edges = _panel_edges(x)
-            assert edges[0] == 0.0 and edges[-1] == 1.0
+            first = edges[1]
+            assert first == pytest.approx(1.0 / x, rel=1 / 16)
+            assert math.frexp(first)[0] * 16 == round(math.frexp(first)[0] * 16)
+            np.testing.assert_array_equal(
+                edges, [0.0, first, 8 * first, 1 - 8 * first, 1 - first, 1.0])
             assert np.all(np.diff(edges) > 0.0)
             np.testing.assert_array_equal(edges, 1.0 - edges[::-1])
-            assert edges.size == n_edges
 
     def test_right_half_complements_are_the_mirrored_nodes(self):
         # a complement near 0 is the mirrored left-half node itself, not
         # 1 - r rounded to a multiple of eps
-        for x in (2.0, 100.0, 1e12):
+        for x in (2.0, 30.0, 41.0):
             nodes, complements, _ = _nodes_and_weights(_panel_edges(x), 24)
             right = nodes > 0.5
             np.testing.assert_array_equal(complements[right], nodes[::-1][right])
@@ -180,11 +210,11 @@ class TestOracleAgreement:
 
     def test_closed_forms_across_the_grading_threshold(self):
         # just below and above the switch from two uniform panels to graded
-        # ones, and deep into the graded range; at 1.0207 * 2**k a layout
-        # anchored at powers of two, not at 1/x, accepts order 3 on the 8/16
-        # rung 3e-10 off
-        for x in (0.999 * GRADING_THRESHOLD, 1.004 * GRADING_THRESHOLD, 100.0,
-                  1.0207 * 128, 1.0207 * 512, 1000.0):
+        # ones, and on both sides of the switch to the sector limit; at
+        # 1.0207 * 2**k a layout anchored at powers of two, not at 1/x,
+        # accepts order 3 on the 8/16 rung 3e-10 off
+        for x in (0.999 * GRADING_THRESHOLD, 1.004 * GRADING_THRESHOLD, 1.0207 * 32,
+                  0.999 * X_SECTOR, 1.004 * X_SECTOR, 100.0, 1000.0):
             p = point_at(x)
             w = solve_gap(p).omega_big
             assert quad_correction(p, w, 2) == pytest.approx(closed_correction(p, w, 2), rel=1e-13)
@@ -270,6 +300,46 @@ class TestOracleAgreement:
             assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=5e-14)
 
 
+class TestSectorLimit:
+    def test_exact_sector_sums(self):
+        # beta Omega -> inf: every diagram's sector sum, and with
+        # sign * N / (n! 4**n K_n) the closed forms' asymptotes of R~_n and
+        # the zero-temperature coefficient of each fourth-order diagram
+        diagrams = builtin_diagrams()
+        sums = {d.label: exact_sector_sum(d) for d in diagrams}
+        assert sums == {"2": Fraction(1, 2), "3": Fraction(3, 8), "4a": Fraction(5, 16),
+                        "4b": Fraction(7, 24), "4c": Fraction(19, 48)}
+        weighted = {
+            d.label: d.sign * d.symmetry_factor * sums[d.label]
+            / (math.factorial(d.order) * 4**d.order * Fraction(_PREFACTORS[d.order][0]))
+            for d in diagrams
+        }
+        assert {label: weighted[label] for label in ZERO_T_COEFF} == ZERO_T_COEFF
+        assert {n: sum(v for label, v in weighted.items() if label.startswith(str(n)))
+                for n in (2, 3, 4)} == {2: 8, 3: 96, 4: 202496}
+        for d in diagrams:
+            assert _sector_sum(d) == float(sums[d.label])
+
+    def test_every_order_ok_up_to_beta_omega_1e300(self):
+        # m = omega = 1e3 and a tiny coupling keep every point's inputs and
+        # corrections in double range while beta*Omega runs to 1e300
+        for x in np.geomspace(1.001 * X_SECTOR, 1e300, 50):
+            p = ModelParams(m=1e3, omega=1e3, lam=1e-12, beta=float(x) / 1e3)
+            w = solve_gap(p).omega_big
+            assert p.beta * w > X_SECTOR
+            for order in (2, 3, 4):
+                assert quad_correction(p, w, order) == pytest.approx(
+                    closed_correction(p, w, order), rel=2e-15), (x, order)
+        # beta and Omega enter the limit apart, so an overflowing beta*Omega
+        # does too
+        p = ModelParams(m=1e10, omega=1e10, lam=1e-20, beta=1e300)
+        w = solve_gap(p).omega_big
+        assert p.beta * w == math.inf
+        for order in (2, 3, 4):
+            assert quad_correction(p, w, order) == pytest.approx(
+                closed_correction(p, w, order), rel=2e-15), order
+
+
 class TestSymmetries:
     def test_mass_scaling_and_dilation_are_bit_identical(self):
         # x -> x/sqrt(m) maps (m, omega, lambda) onto (1, omega, lambda/m^2), so
@@ -277,11 +347,12 @@ class TestSymmetries:
         # dilation (omega/s, lambda/s^3, beta*s) has Omega/s and the correction
         # divided by s.  With s = 2**-7 every input scales exactly, so the bits
         # must agree.  Omega is scaled here, not solved again, so only the
-        # quadrature is tested.  The last point's dilated twin once came out
-        # degraded: its raw order-4 integrals underflowed.
+        # quadrature is tested: uniform panels, graded panels at beta*Omega
+        # of about 30, and the sector limit at 2e15 and 843.
         s = 2.0**-7
         for m, om, lam, beta in [(1.0, 1.0, 1.0, 0.7), (1.0, 1.0, 1.0, 5.0), (0.3, 2.0, 7.0, 3.0),
-                                 (1.0, 1.0, 1.0, 40.0), (1.0, 1.0, 1e80, 1e-24)]:
+                                 (1.0, 1.0, 1.0, 15.0), (1.0, 1.0, 1.0, 1e15),
+                                 (1.0, 1.0, 1e80, 1e-24)]:
             p = ModelParams(m=m, omega=om, lam=lam, beta=beta)
             w = solve_gap(p).omega_big
             heavy = replace(p, m=m * 8.0, lam=lam * 64.0)
@@ -343,6 +414,30 @@ class TestFailureModes:
                 for value, bound in rejected:
                     assert abs(value - closed_correction(p, w, order)) <= bound
 
+    def test_graded_band_bound_covers_the_error(self):
+        # across the graded band every rejected rung's |full - embedded|
+        # covers its distance from the closed form, and the accepted rung is
+        # at round-off; Omega is set so that beta*Omega is each scanned x
+        for x in np.geomspace(1.001 * GRADING_THRESHOLD, X_SECTOR, 12):
+            p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=float(x) / 2.0)
+            w = float(x) / p.beta
+            for order in (2, 3, 4):
+                chosen = [d for d in builtin_diagrams() if d.order == order]
+                scale = p.beta ** (order - 1) / (
+                    2.0 * p.m * w * -math.expm1(-p.beta * w)) ** (2 * order)
+                coeffs = np.array([
+                    d.sign * p.lam**order / math.factorial(order) * d.symmetry_factor * scale
+                    for d in chosen
+                ])
+                closed = closed_correction(p, w, order)
+                for values, bounds in _rungs(p, w, chosen, "reduced"):
+                    if np.all(bounds < REL_TOL * np.abs(values)):
+                        assert coeffs @ values == pytest.approx(closed, rel=5e-15), (x, order)
+                        break
+                    assert abs(coeffs @ values - closed) <= np.abs(coeffs) @ bounds, (x, order)
+                else:
+                    pytest.fail(f"no rung passes at beta*Omega = {x}, order {order}")
+
     def test_every_uniform_point_passes_a_rung(self):
         # the two uniform panels are resolved by some rung of the ladder up
         # to the grading threshold
@@ -357,27 +452,28 @@ class TestFailureModes:
                     for values, bounds in _rungs(p, w, chosen, "reduced")
                 ), (x, order)
 
-    def test_one_layout_per_point(self):
-        # at beta*Omega of about 2e15 the first graded edge sits at its 2**-42
-        # floor, far beyond the decay length, and no rung resolves the
-        # integrand; the ladder runs once and the point fails with the 24/32
-        # estimate
-        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e15)
+    def test_one_layout_per_point(self, monkeypatch):
+        # a tolerance below round-off fails on every rung of a graded point
+        # (beta*Omega of about 30); the ladder runs once on its one layout
+        # and the point fails with the 24/32 estimate
+        monkeypatch.setattr("quartic_vpe.diagrams.REL_TOL", 1e-17)
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=15.0)
         w = solve_gap(p).omega_big
+        assert GRADING_THRESHOLD < p.beta * w <= X_SECTOR
         chosen = [d for d in builtin_diagrams() if d.order == 3]
         assert len(list(_rungs(p, w, chosen, "reduced"))) == len(LADDER) - 1
         with pytest.raises(ConvergenceError) as err:
             quad_correction(p, w, 3)
         assert math.isfinite(err.value.value)
 
-    def test_all_zero_rung_is_rejected(self):
-        # beyond beta*Omega of about 2e17 every node sits past the decay
-        # length, so every rung integrates to exactly zero
+    def test_beta_1e20_takes_the_sector_limit(self):
+        # at beta*Omega = 2e20 every quadrature node would sit past the decay
+        # length; the sector limit needs none
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e20)
         w = solve_gap(p).omega_big
-        with pytest.raises(ConvergenceError) as err:
-            quad_correction(p, w, 2)
-        assert err.value.value == 0.0
+        for order in (2, 3, 4):
+            assert quad_correction(p, w, order) == pytest.approx(
+                closed_correction(p, w, order), rel=2e-15)
 
     def test_argument_validation(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=2.0)

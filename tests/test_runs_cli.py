@@ -584,25 +584,42 @@ class TestCli:
         assert exc.value.code == 1
         capsys.readouterr()
 
-    def test_non_convergence_exits_2(self, capsys):
-        # at beta*Omega = 2e15 the graded panels no longer reach the decay
-        # length, and no rung meets the quadrature tolerance
-        code = main(["oracle-check", "--beta", "1e15", "--order", "3"])
+    def test_non_convergence_exits_2(self, capsys, monkeypatch):
+        # a quadrature tolerance below round-off fails on every rung of a
+        # graded point (beta*Omega of about 30)
+        monkeypatch.setattr("quartic_vpe.diagrams.REL_TOL", 1e-17)
+        code = main(["oracle-check", "--beta", "15", "--order", "3"])
         assert code == 2
         records = csv_records(capsys.readouterr().out)
         assert [r["status"] for r in records] == ["degraded", "degraded"]
         for record in records:
             assert "did not stabilize" in record["note"]
             assert math.isfinite(float(record["quad"]))
-
-    def test_all_zero_quadrature_exits_2(self, capsys):
-        # every node lies beyond the decay length, so every rung is zero
-        code = main(["point", "--quad", "--beta", "1e20", "--order", "2"])
-        assert code == 2
+        # a point row names the order once
+        assert main(["point", "--quad", "--beta", "15", "--order", "2"]) == 2
         (record,) = csv_records(capsys.readouterr().out)
         assert record["status"] == "degraded"
         assert "did not stabilize" in record["note"]
         assert record["note"].count("order-2") == 1
+
+    def test_quadrature_at_beta_1e20_is_ok(self, capsys):
+        # beta*Omega = 2e20 takes the sector limit
+        code = main(["point", "--quad", "--beta", "1e20", "--order", "2"])
+        assert code == 0
+        (record,) = csv_records(capsys.readouterr().out)
+        assert record["status"] == "ok"
+        assert float(record["quad2"]) == pytest.approx(
+            float(record["f2"]) - float(record["f0"]), rel=1e-8)
+
+    def test_oracle_check_at_beta_omega_8e26(self, capsys):
+        code = main(["oracle-check", "--lambda", "1e80", "--beta", "1", "--order", "4"])
+        assert code == 0
+        records = csv_records(capsys.readouterr().out)
+        assert [(r["order"], r["status"]) for r in records] == [
+            ("2", "ok"), ("3", "ok"), ("4", "ok")]
+        for record in records:
+            assert float(record["omega_big"]) > 8e26
+            assert float(record["rel_err"]) < 2e-15
 
     def test_c4_finite_at_beta_omega_1e303(self, capsys):
         # 202496 x overflows here; R_4(x)/x = 202496 does not
