@@ -9,14 +9,16 @@ a rational constant times the frequency, the n-th power of the
 dimensionless coupling ``u`` (at most 1/6 at the gap root, where
 m**2 Omega**3 >= 6 lam coth(x/2)) and a dimensionless temperature factor
 that depends only on ``x = beta * Omega``: ``R~_n = R_n`` for n = 2, 3
-and ``R_4 / x`` for n = 4.  Written over hyperbolic functions
-the factors overflow at moderate ``x`` and cancel catastrophically at
-small ``x``, so each one is evaluated in one of three regimes:
+and ``R_4 / x`` for n = 4.  Each factor is evaluated in one of two
+regimes:
 
-* ``x < 1e-2`` -- a short Laurent series in ``x`` (the direct expression
-  is a 0/0-like ratio at high temperature),
-* moderate ``x`` -- an exact polynomial in ``q = exp(-x)`` divided by
-  ``(1 - q)**(2n)``, which neither overflows nor loses precision,
+* ``x <= 45`` -- one closed form over ``W = (sinh(x/2) / (x/2))**2`` and
+  ``H = sinh(x) / x``, ``R_n = P_n(x, W, H) / (W**n * x**k)``.  Every
+  coefficient of the polynomial ``P_n`` is positive, so every term is,
+  and the sum has condition number 1: nothing cancels at small x, where
+  the same factor written over ``q = exp(-x)`` loses its O(1) terms down
+  to O(x**4).  W and H tend to 1 as x -> 0, so nothing underflows down
+  to the smallest x, and both stay below 1e20 at x = 45;
 * ``x > 45`` -- the ``q -> 0`` asymptotic form (all neglected terms are
   suppressed by at least ``exp(-45)``, far below double precision).
 
@@ -25,13 +27,14 @@ Each regime returns a regular part ``P`` and a pole order ``k`` with
 exponent of the result.  At high temperature c2, c3 and c4 tend to
 -T/12, T/6 and -53T/72, so a correction is finite wherever F0 is.
 
-The q-polynomials come from the underlying imaginary-time integrals and
-are checked only against direct numerical quadrature of those integrals
-(see the ``diagrams`` module).  The Laurent series and the asymptotes are
-derived from the q-polynomials in exact rational arithmetic by
-``TestLaurentDerivation`` in ``tests/test_series.py``; the asymptotes are
-also reproduced from the diagram specs, as their exact sector limits, by
-``TestSectorLimit`` in ``tests/test_diagrams.py``.
+``TestHyperbolicForm`` in ``tests/test_series.py`` substitutes
+``sinh(x/2)**2 = (1 - q)**2 / (4q)`` and ``sinh(x) = (1 - q**2) / (2q)``,
+``q = exp(-x)``, into each ``P_n`` in exact rational arithmetic and
+matches the recorded q-polynomial of R_n, the form the imaginary-time
+integrals give, coefficient for coefficient.  Those q-polynomials are
+checked against direct quadrature of the integrals (see ``diagrams``);
+the asymptotes are their q**0 terms and also the diagrams' exact sector
+limits (``TestSectorLimit`` in ``tests/test_diagrams.py``).
 """
 
 from __future__ import annotations
@@ -50,60 +53,49 @@ __all__ = [
     "temperature_factor",
 ]
 
-# Below this value of x = beta*Omega the q-polynomial ratio cancels to
-# more digits than double precision can spare; switch to the Laurent
-# series.  Above X_ASYMPTOTIC the finite-temperature terms are smaller
-# than machine epsilon relative to the surviving q**0 part.
-X_SERIES_THRESHOLD = 1e-2
+# Above X_ASYMPTOTIC the finite-temperature terms are smaller than machine
+# epsilon relative to the surviving q**0 part.
 X_ASYMPTOTIC = 45.0
 
 VALID_ORDERS = (0, 2, 3, 4)
 
 
+def _hyperbolic(x: float) -> tuple[float, float]:
+    """(W, H) = ((sinh(x/2) / (x/2))**2, sinh(x) / x), both 1 at x -> 0."""
+    s = math.sinh(0.5 * x)
+    r = s / (0.5 * x)
+    return r * r, r * math.sqrt(1.0 + s * s)
+
+
 def _factor_2(x: float) -> tuple[float, int]:
     """R_2(x) as (P, k) with R_2 = P / x**k: second-order temperature factor."""
-    if x < X_SERIES_THRESHOLD:
-        return 256.0 + x**4 * (32.0 / 15.0 - (64.0 / 945.0) * x * x), 3
     if x > X_ASYMPTOTIC:
         return 8.0, 0
-    q = math.exp(-x)
-    num = 8.0 + q * (64.0 + q * (96.0 * x + q * (-64.0 + q * -8.0)))
-    return num / (-math.expm1(-x)) ** 4, 0
+    w, h = _hyperbolic(x)
+    return (96.0 + 160.0 * h + 16.0 * x * x * h * w) / (w * w), 3
 
 
 def _factor_3(x: float) -> tuple[float, int]:
     """R_3(x) as (P, k) with R_3 = P / x**k: third-order temperature factor."""
-    if x < X_SERIES_THRESHOLD:
-        return 16384.0 + x**4 * (1024.0 / 15.0 + (1024.0 / 945.0) * x * x), 4
     if x > X_ASYMPTOTIC:
         return 96.0, 0
-    q = math.exp(-x)
-    x2 = x * x
-    a2 = 256.0 * x2 + 3456.0 * x - 96.0
-    a3 = 2048.0 * x2 - 3072.0
-    a4 = 256.0 * x2 - 3456.0 * x - 96.0
-    num = 96.0 + q * (1536.0 + q * (a2 + q * (a3 + q * (a4 + q * (1536.0 + q * 96.0)))))
-    return num / (-math.expm1(-x)) ** 6, 0
+    w, h = _hyperbolic(x)
+    x2w = x * x * w
+    num = 2560.0 + 6912.0 * (h + w) + x2w * (256.0 + w * (2112.0 + 96.0 * x2w))
+    return num / (w * w * w), 4
 
 
 def _factor_4(x: float) -> tuple[float, int]:
     """R_4(x) as (P, k) with R_4 = P / x**k: fourth-order temperature factor."""
-    if x < X_SERIES_THRESHOLD:
-        return 166723584.0 + x**4 * (3407872.0 / 5.0 - (262144.0 / 315.0) * x * x), 4
     if x > X_ASYMPTOTIC:
         return 202496.0, -1
-    q = math.exp(-x)
-    a0 = 202496.0 * x
-    a1 = (110592.0 * x + 4659200.0) * x
-    a2 = (((36864.0 * x + 1437696.0) * x + 13188096.0) * x + 5186048.0) * x
-    a3 = (((2064384.0 * x + 16809984.0) * x + 11071488.0) * x - 25159680.0) * x
-    a4 = (6635520.0 * x * x - 48740352.0) * x * x
-    a5 = (((2064384.0 * x - 16809984.0) * x + 11071488.0) * x + 25159680.0) * x
-    a6 = (((36864.0 * x - 1437696.0) * x + 13188096.0) * x - 5186048.0) * x
-    a7 = (110592.0 * x - 4659200.0) * x
-    a8 = -202496.0 * x
-    num = a0 + q * (a1 + q * (a2 + q * (a3 + q * (a4 + q * (a5 + q * (a6 + q * (a7 + q * a8)))))))
-    return num / (-math.expm1(-x)) ** 8, 0
+    w, h = _hyperbolic(x)
+    x2w = x * x * w
+    num = (10838016.0 + 39370752.0 * h + w * (64819200.0 + 51695616.0 * h)
+           + x2w * (2211840.0 + 13851648.0 * w + h * (2875392.0 + 11748352.0 * w)
+                    + x2w * (36864.0 + w * (110592.0 + 404992.0 * h))))
+    w2 = w * w
+    return num / (w2 * w2), 4
 
 
 _FACTORS = {2: _factor_2, 3: _factor_3, 4: _factor_4}

@@ -1,6 +1,7 @@
 """Closed-form corrections: frozen values, regimes, signs, and scaling."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from quartic_vpe.core import ModelParams, RescaledParams, harmonic_free_energy, 
 from quartic_vpe.errors import ConvergenceError, ValidationError
 from quartic_vpe.series import (
     X_ASYMPTOTIC,
-    X_SERIES_THRESHOLD,
     closed_correction,
     series_eval,
     temperature_factor,
@@ -114,7 +114,7 @@ FROZEN_FACTORS = {
     (4, 2.0): 11118364.518384838,
     (4, 10.0): 2028320.4801236742,
     (4, 40.0): 8099840.0000000018,
-    # Laurent branch, down to where R_n itself is near the top of double range
+    # near the pole, down to where R_n itself is near the top of double range
     (2, 1e-3): 256000000000.00212,
     (3, 1e-3): 16384000000000067.0,
     (4, 1e-3): 1.6672358400000067e20,
@@ -140,16 +140,9 @@ class TestTemperatureFactors:
         for (order, x), ref in FROZEN_FACTORS.items():
             assert temperature_factor(order, x) == pytest.approx(ref, rel=1e-12)
 
-    def test_continuity_at_series_threshold(self):
-        t = X_SERIES_THRESHOLD
-        for order in (2, 3, 4):
-            below = temperature_factor(order, t * (1.0 - 1e-10))
-            above = temperature_factor(order, t * (1.0 + 1e-10))
-            assert below == pytest.approx(above, rel=5e-9)
-
     def test_continuity_at_asymptotic_threshold(self):
         # R_4 grows linearly in x, so a +/- eps probe moves the value by
-        # ~202496*eps on its own; the branch jump itself is ~1e-18
+        # ~202496*eps on its own; the branch jump itself is at most 1 ulp
         t = X_ASYMPTOTIC
         for order in (2, 3, 4):
             below = temperature_factor(order, t - 1e-9)
@@ -171,10 +164,10 @@ class TestTemperatureFactors:
             temperature_factor(2, math.inf)
 
 
-# The numerator of each temperature factor on its q-polynomial branch,
+# Each temperature factor as the imaginary-time integrals give it,
 # R_n = sum_k q**k p_k(x) / (1 - q)**(2n) with q = exp(-x): the integer
-# coefficients of p_0, p_1, ... (lowest power of x first), transcribed
-# from series._factor_n.  Only quadrature checks these polynomials.
+# coefficients of p_0, p_1, ... (lowest power of x first).  Quadrature
+# checks these polynomials; TestHyperbolicForm ties series to them.
 Q_POLYNOMIALS = {
     2: [[8], [64], [0, 96], [-64], [-8]],
     3: [[96], [1536], [-96, 3456, 256], [-3072, 0, 2048],
@@ -187,79 +180,90 @@ Q_POLYNOMIALS = {
         [0, -5186048, 13188096, -1437696, 36864],
         [0, -4659200, 110592], [0, -202496]],
 }
-# The Laurent branch R_n = P / x**k: P's coefficients through x**6 and k.
-LAURENT = {
-    2: ([256, 0, 0, 0, Fraction(32, 15), 0, Fraction(-64, 945)], 3),
-    3: ([16384, 0, 0, 0, Fraction(1024, 15), 0, Fraction(1024, 945)], 4),
-    4: ([166723584, 0, 0, 0, Fraction(3407872, 5), 0, Fraction(-262144, 315)], 4),
+# The branch below X_ASYMPTOTIC, R_n = P_n / (W**n x**k) with
+# W = (sinh(x/2) / (x/2))**2 and H = sinh(x) / x, as (P_n, k): P_n's
+# coefficients keyed by the powers of (x, W, H) of their monomial.
+HYPERBOLIC = {
+    2: ({(0, 0, 0): 96, (0, 0, 1): 160, (2, 1, 1): 16}, 3),
+    3: ({(0, 0, 0): 2560, (0, 0, 1): 6912, (0, 1, 0): 6912, (2, 1, 0): 256,
+         (2, 2, 0): 2112, (4, 3, 0): 96}, 4),
+    4: ({(0, 0, 0): 10838016, (0, 0, 1): 39370752, (0, 1, 0): 64819200,
+         (0, 1, 1): 51695616, (2, 1, 0): 2211840, (2, 2, 0): 13851648,
+         (2, 1, 1): 2875392, (2, 2, 1): 11748352, (4, 2, 0): 36864,
+         (4, 3, 0): 110592, (4, 3, 1): 404992}, 4),
 }
 # The q -> 0 branch R_n = P / x**k as (P, k).
 ASYMPTOTES = {2: (8, 0), 3: (96, 0), 4: (202496, -1)}
 
-
-def _series_product(a, b, terms):
-    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(terms)]
-
-
-def _laurent_from_q_polynomial(order, terms):
-    """(1 - q)**(2n) R_n / x**(2n) as exact power-series coefficients in x.
-
-    The q-polynomial numerator with q**k = exp(-k x) expanded, divided by
-    ((1 - exp(-x)) / x)**(2n); coefficient j is that of x**(j - 2n) in R_n.
-    """
-    numerator = [Fraction(0)] * terms
-    for k, coefficients in enumerate(Q_POLYNOMIALS[order]):
-        exp_kx = [Fraction((-k) ** j, math.factorial(j)) for j in range(terms)]
-        poly = [Fraction(c) for c in coefficients] + [Fraction(0)] * terms
-        numerator = [u + v for u, v in
-                     zip(numerator, _series_product(poly, exp_kx, terms))]
-    one_minus_q_over_x = [Fraction((-1) ** j, math.factorial(j + 1))
-                          for j in range(terms)]
-    denominator = [Fraction(1)] + [Fraction(0)] * (terms - 1)
-    for _ in range(2 * order):
-        denominator = _series_product(denominator, one_minus_q_over_x, terms)
-    quotient = []  # denominator[0] == 1
-    for j in range(terms):
-        quotient.append(numerator[j] - sum(quotient[i] * denominator[j - i]
-                                           for i in range(j)))
-    return quotient
+# W = (1 - q)**2 / (q x**2) and H = (1 - q**2) / (2 q x), the identities
+# sinh(x/2)**2 = (1 - q)**2 / (4q) and sinh(x) = (1 - q**2) / (2q), as
+# Laurent polynomials in (q, x) keyed by the powers of q and x
+W_IN_Q = {(-1, -2): 1, (0, -2): -2, (1, -2): 1}
+H_IN_Q = {(-1, -1): Fraction(1, 2), (1, -1): Fraction(-1, 2)}
 
 
-class TestLaurentDerivation:
-    """The Laurent and q -> 0 branches, derived from the q-polynomials."""
+def _times(a, b):
+    product = {}
+    for (i, j), c in a.items():
+        for (k, m), d in b.items():
+            product[i + k, j + m] = product.get((i + k, j + m), 0) + c * d
+    return product
+
+
+def _q_form(order, x):
+    """R_n(x) from its q-polynomial at 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x = Decimal(x)
+        q = (-x).exp()
+        numerator = sum(q**k * sum(c * x**i for i, c in enumerate(p))
+                        for k, p in enumerate(Q_POLYNOMIALS[order]))
+        return numerator / (1 - q) ** (2 * order)
+
+
+class TestHyperbolicForm:
+    """The branch below X_ASYMPTOTIC against the q-polynomials."""
+
+    @pytest.mark.parametrize("order", (2, 3, 4))
+    def test_exact_identity_with_q_polynomial(self, order):
+        # R_n = P_n / (W**n x**k) = numerator / (1 - q)**(2n), so
+        # numerator = P_n q**n x**(2n - k), exactly
+        monomials, pole = HYPERBOLIC[order]
+        total = {}
+        for (a, b, c), coefficient in monomials.items():
+            term = {(order, 2 * order - pole + a): coefficient}
+            for factor, power in ((W_IN_Q, b), (H_IN_Q, c)):
+                for _ in range(power):
+                    term = _times(term, factor)
+            for key, value in term.items():
+                total[key] = total.get(key, 0) + value
+        recorded = {(k, i): c for k, p in enumerate(Q_POLYNOMIALS[order])
+                    for i, c in enumerate(p) if c}
+        assert {key: v for key, v in total.items() if v} == recorded
 
     @pytest.mark.parametrize("order", (2, 3, 4))
     def test_transcription_matches_factor(self, order):
-        factor = series._FACTORS[order]
-        for x in (0.3, 1.0, 4.0, 20.0):
-            q = math.exp(-x)
-            numerator = sum(q**k * sum(c * x**i for i, c in enumerate(p))
-                            for k, p in enumerate(Q_POLYNOMIALS[order]))
-            regular, pole = factor(x)
-            assert pole == 0
-            assert regular == pytest.approx(
-                numerator / (-math.expm1(-x)) ** (2 * order), rel=1e-13)
-
-    @pytest.mark.parametrize("order", (2, 3, 4))
-    def test_laurent_series_derived_exactly(self, order):
-        coefficients, pole = LAURENT[order]
-        first = 2 * order - pole
-        derived = _laurent_from_q_polynomial(order, first + len(coefficients))
-        # every term below the pole cancels exactly
-        assert derived[:first] == [0] * first
-        assert derived[first:] == coefficients
-
-    @pytest.mark.parametrize("order", (2, 3, 4))
-    def test_laurent_branch_carries_the_derived_coefficients(
-            self, order, monkeypatch):
-        # the branch taken far above its switch, where every term shows
-        coefficients, pole = LAURENT[order]
-        monkeypatch.setattr(series, "X_SERIES_THRESHOLD", math.inf)
-        for x in (0.5, 1.0, 2.0):
+        monomials, pole = HYPERBOLIC[order]
+        for x in (1e-300, 1e-3, 0.5, 1.0, 5.0, 20.0, X_ASYMPTOTIC):
+            w = (math.sinh(x / 2) / (x / 2)) ** 2
+            h = math.sinh(x) / x
+            want = sum(c * x**a * w**b * h**e for (a, b, e), c in monomials.items())
             regular, k = series._FACTORS[order](x)
             assert k == pole
-            want = sum(c * Fraction(x) ** j for j, c in enumerate(coefficients))
-            assert regular == pytest.approx(float(want), rel=1e-14)
+            assert regular == pytest.approx(want / w**order, rel=1e-14), x
+
+    def test_accurate_against_the_q_polynomial(self):
+        # at x = 1e-8 the q-form cancels 24 of its 80 digits; below that
+        # the frozen pole values cover the factors
+        for x in np.geomspace(1e-8, X_ASYMPTOTIC, 100):
+            for order in (2, 3, 4):
+                exact = _q_form(order, float(x))
+                error = abs(Decimal(temperature_factor(order, float(x))) - exact)
+                assert error <= Decimal("4e-15") * exact, (order, x)
+
+
+class TestLaurentDerivation:
+    """The q -> 0 branch, the q**0 term of the q-polynomials."""
 
     @pytest.mark.parametrize("order", (2, 3, 4))
     def test_asymptote_is_the_q0_term(self, order):
