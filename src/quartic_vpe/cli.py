@@ -22,8 +22,10 @@ Subcommands
     report relative gaps.
 
 Exit codes: 0 success; 1 invalid request; 2 a numerical result failed to
-converge.  An oracle's affected rows are still emitted, marked degraded; a
-gap solve that does not converge stops the command with one error line.
+converge or an oracle-check gap exceeded its tolerance.  Rows whose exact
+oracle reached its basis cap, and oracle-check rows over tolerance, are
+still emitted, marked degraded; a gap solve or quadrature that does not
+converge stops the command with one error line.
 
 ``main`` builds the parser on its first call and reuses it for every later
 call in the process; importing this module builds none.  The ``run_*``
@@ -37,7 +39,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import ModelParams, RescaledParams, unrescale
+from .core import ModelParams, RescaledParams, beta_from_temp, unrescale
 from .errors import ConvergenceError, ValidationError
 from .runs import (
     FIGURE_DEFAULT_RESOLUTION,
@@ -184,12 +186,9 @@ def _resolve_point(args) -> ModelParams:
         return unrescale(RescaledParams(z=args.z, t_reduced=args.t_reduced), lam=lam)
     omega = 1.0 if args.omega is None else args.omega
     mass = 1.0 if args.mass is None else args.mass
-    if args.temp is not None:
-        if args.temp <= 0.0:
-            raise ValidationError(f"temp must be positive, got {args.temp}")
-        beta = 1.0 / args.temp
-    else:
-        beta = 1.0 if args.beta is None else args.beta
+    beta = 1.0 if args.beta is None else args.beta
+    if args.temp is not None:  # --beta and --temp exclude each other
+        beta = beta_from_temp(args.temp)
     return ModelParams(m=mass, omega=omega, lam=lam, beta=beta)
 
 

@@ -113,7 +113,18 @@ def unrescale(rp: RescaledParams, lam: float = 1.0) -> ModelParams:
         raise ValidationError(f"coupling lambda must be positive, got {lam}")
     omega = math.sqrt(2.0 * rp.z) * lam ** (1.0 / 3.0)
     beta = lam ** (-1.0 / 3.0) / rp.t_reduced
+    if not 0.0 < beta < math.inf:
+        raise ValidationError(f"t_reduced = {rp.t_reduced} at lambda = {lam} "
+                              f"gives beta = {beta}, outside double precision")
     return ModelParams(m=1.0, omega=omega, lam=lam, beta=beta)
+
+
+def beta_from_temp(temp: float) -> float:
+    """beta = 1/temp for a temperature whose inverse is a positive finite double."""
+    if not (0.0 < temp < math.inf and 1.0 / temp < math.inf):
+        raise ValidationError(
+            f"temp must be positive and finite with 1/temp finite, got {temp}")
+    return 1.0 / temp
 
 
 def check_frequency(omega_big: float) -> None:

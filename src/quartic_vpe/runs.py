@@ -28,9 +28,12 @@ Conventions:
   variational series, not bare corrections;
 * ``ref_*`` columns are published literature values quoted for
   comparison, never computed here;
-* a row whose oracle call did not converge keeps the partial value,
-  sets ``status`` to ``"degraded"``, and explains itself in ``note`` —
-  silent NaNs are never emitted (every populated number is finite);
+* two things degrade a row: the exact oracle reaching its basis cap (the
+  row keeps the partial value and its last step) and an oracle-check gap
+  above tolerance.  The row gets ``status`` ``"degraded"`` and explains
+  itself in ``note``.  A quadrature or gap solve that does not converge
+  raises and stops the command.  Silent NaNs are never emitted (every
+  populated number is finite);
 * CSV columns that no row populates are omitted entirely rather than
   emitted blank.
 """
@@ -42,10 +45,9 @@ import io
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field, fields, replace
 
-from .core import ModelParams, RescaledParams, rescale, unrescale
+from .core import ModelParams, RescaledParams, beta_from_temp, rescale, unrescale
 from .errors import ConvergenceError, ValidationError
 from .literature import TABLE1, TABLE1_Z, TABLE2
 from .series import VALID_ORDERS, series_eval
@@ -163,42 +165,23 @@ def quad_correction(*args, **kwargs):
     return quad_correction(*args, **kwargs)
 
 
-def _degrade(kw: dict, note: str) -> None:
-    """Mark a row degraded, appending to its note."""
-    kw["status"] = STATUS_DEGRADED
-    kw["note"] = f"{kw['note']}; {note}" if kw.get("note") else note
-
-
-@contextmanager
-def _degrade_on_convergence_error(kw: dict, what: str, value_field: str,
-                                  bound_field: str | None = None):
-    """Turn a ConvergenceError in the body into a degraded row.
-
-    The row gets a ``what: <error>`` note and keeps the error's partial
-    value in ``value_field`` (and its bound in ``bound_field``) when finite.
-    """
-    try:
-        yield
-    except ConvergenceError as exc:
-        _degrade(kw, f"{what}: {exc}")
-        if exc.value is not None and math.isfinite(exc.value):
-            kw[value_field] = float(exc.value)
-            if bound_field and exc.bound is not None and math.isfinite(exc.bound):
-                kw[bound_field] = float(exc.bound)
-
-
 def _point_rows(grid: list[ModelParams], max_order: int, exact: bool,
                 quad: bool, fixed: list[dict] | None = None) -> list[ResultRow]:
     """The series rows of the points in ``grid``, with the requested oracles.
 
-    Each row solves its gap once; a gap solve that fails raises, so only
-    an oracle degrades a row.  The exact oracle runs per row, but the rows
-    of one (m, omega, lam) group share their basis frequency, the largest
-    Omega of the group (its hottest row), and one dict of spectra, so each
-    basis size is diagonalized at most once per group.  Quadrature runs at
-    each row's own Omega.  ``fixed`` holds, per row, columns the caller
+    Each row solves its gap once.  A gap solve or a quadrature that does
+    not converge raises, so only the exact oracle degrades a row, at its
+    basis cap.  The exact oracle runs per row, but the rows of one
+    (m, omega, lam) group share their basis frequency, the largest Omega
+    of the group (its hottest row), and one dict of spectra, so each basis
+    size is diagonalized at most once per group.  Quadrature runs at each
+    row's own Omega.  ``fixed`` holds, per row, columns the caller
     sets outright; they override the computed ones.
     """
+    if quad and max_order < 2:
+        raise ValidationError(
+            f"quadrature oracle needs max_order in {{2, 3, 4}}, got {max_order}"
+        )
     series = [series_eval(params, max_order=max_order) for params in grid]
     kws = [{"omega_big": fe.omega_big, "f0": fe.f0, "f2": fe.f2, "f3": fe.f3,
             "f4": fe.f4, **columns}
@@ -210,18 +193,19 @@ def _point_rows(grid: list[ModelParams], max_order: int, exact: bool,
             nu[group] = max(nu.get(group, 0.0), fe.omega_big)
     for params, fe, kw in zip(grid, series, kws):
         if exact:
-            with _degrade_on_convergence_error(kw, "exact oracle", "exact",
-                                               "exact_step"):
+            try:
                 res = exact_free_energy(
                     params, nu=nu[params.m, params.omega, params.lam],
                     spectra=spectra)
+            except ConvergenceError as exc:
+                # the basis cap is reachable: keep the partial value and step
+                kw.update(exact=exc.value, exact_step=exc.bound,
+                          status=STATUS_DEGRADED, note=f"exact oracle: {exc}")
+            else:
                 kw.update(exact=res.value, exact_step=res.step)
         if quad:
             for order in range(2, max_order + 1):
-                column = f"quad{order}"
-                # the error message names the order already
-                with _degrade_on_convergence_error(kw, "quadrature", column):
-                    kw[column] = quad_correction(params, fe.omega_big, order)
+                kw[f"quad{order}"] = quad_correction(params, fe.omega_big, order)
     return [ResultRow(params=params, **kw) for params, kw in zip(grid, kws)]
 
 
@@ -257,9 +241,7 @@ def run_sweep(base: ModelParams, var: str, start: float, stop: float,
     points = []
     for value in map(float, grid):
         if var == "temp":
-            if value <= 0.0:
-                raise ValidationError(f"temp must be positive, got {value}")
-            value = 1.0 / value
+            value = beta_from_temp(value)
         points.append(replace(base, **{attr: value}))
     return _point_rows(points, max_order, exact, quad)
 
@@ -341,7 +323,8 @@ def run_oracle_check(params: ModelParams, *, max_order: int = 4,
 
     One row per order in {2, 3, 4} up to ``max_order``, carrying the
     closed-form value, the quadrature value, and their relative gap.  A gap
-    above tolerance (or a non-converged quadrature) marks the row degraded.
+    above tolerance marks the row degraded; a quadrature that does not
+    converge raises its ConvergenceError.
     ``tol=None`` uses the per-order defaults in :data:`ORACLE_CHECK_TOL`;
     an explicit value applies to every order.  A correction that underflows
     below the smallest normal double has no relative gap and is a
@@ -364,16 +347,15 @@ def run_oracle_check(params: ModelParams, *, max_order: int = 4,
             )
     rows = []
     for order, closed in closed_forms.items():
-        kw = {"order": order, "omega_big": fe.omega_big, "closed": closed}
-        with _degrade_on_convergence_error(kw, "quadrature", "quad"):
-            kw["quad"] = quad_correction(params, fe.omega_big, order)
-        if "quad" in kw:
-            kw["rel_err"] = abs(kw["quad"] - closed) / abs(closed)
+        quad = quad_correction(params, fe.omega_big, order)
+        rel_err = abs(quad - closed) / abs(closed)
+        kw = {"order": order, "omega_big": fe.omega_big, "closed": closed,
+              "quad": quad, "rel_err": rel_err}
         order_tol = ORACLE_CHECK_TOL[order] if tol is None else tol
-        # the gap is judged only for a converged quadrature
-        if "status" not in kw and kw["rel_err"] > order_tol:
-            _degrade(kw, f"order-{order} gap {kw['rel_err']:.3e} exceeds "
-                         f"tolerance {order_tol:.3e}")
+        if rel_err > order_tol:
+            kw.update(status=STATUS_DEGRADED,
+                      note=f"order-{order} gap {rel_err:.3e} exceeds "
+                           f"tolerance {order_tol:.3e}")
         rows.append(ResultRow(params=params, **kw))
     return rows
 

@@ -142,22 +142,21 @@ class TestOneRowPipeline:
         assert row.status == STATUS_OK
         assert row.exact == expected
 
-    def test_quadrature_failure_keeps_partial_value(self, monkeypatch):
+    def test_quadrature_failure_stops_the_run(self, monkeypatch):
+        error = ConvergenceError("order-2 quadrature not converged",
+                                 value=-0.01, bound=1e-3)
+
         def unconverged(params, omega_big, order):
-            raise ConvergenceError(f"order-{order} quadrature not converged",
-                                   value=-0.01, bound=1e-3)
+            raise error
 
         monkeypatch.setattr(runs, "quad_correction", unconverged)
-        row = run_point(self.PARAMS, max_order=3, quad=True)
-        assert row.status == STATUS_DEGRADED
-        assert (row.quad2, row.quad3, row.quad4) == (-0.01, -0.01, None)
-        assert row.note == ("quadrature: order-2 quadrature not converged; "
-                            "quadrature: order-3 quadrature not converged")
-        (check,) = run_oracle_check(self.PARAMS, max_order=2)
-        assert check.status == STATUS_DEGRADED
-        assert check.note == "quadrature: order-2 quadrature not converged"
-        assert check.quad == -0.01
-        assert check.rel_err == abs(-0.01 - check.closed) / abs(check.closed)
+        for run in (lambda: run_point(self.PARAMS, max_order=3, quad=True),
+                    lambda: run_oracle_check(self.PARAMS, max_order=2)):
+            with pytest.raises(ConvergenceError) as caught:
+                run()
+            assert caught.value is error
+            assert str(caught.value) == "order-2 quadrature not converged"
+            assert (caught.value.value, caught.value.bound) == (-0.01, 1e-3)
 
 
 class TestSharedSpectrum:
@@ -586,21 +585,47 @@ class TestCli:
 
     def test_non_convergence_exits_2(self, capsys, monkeypatch):
         # a quadrature tolerance below round-off fails on every rung of a
-        # graded point (beta*Omega of about 30)
+        # graded point (beta*Omega of about 30); the first order's failure
+        # stops the command with one error line that names the order once
         monkeypatch.setattr("quartic_vpe.diagrams.REL_TOL", 1e-17)
-        code = main(["oracle-check", "--beta", "15", "--order", "3"])
-        assert code == 2
-        records = csv_records(capsys.readouterr().out)
-        assert [r["status"] for r in records] == ["degraded", "degraded"]
-        for record in records:
-            assert "did not stabilize" in record["note"]
-            assert math.isfinite(float(record["quad"]))
-        # a point row names the order once
-        assert main(["point", "--quad", "--beta", "15", "--order", "2"]) == 2
-        (record,) = csv_records(capsys.readouterr().out)
-        assert record["status"] == "degraded"
-        assert "did not stabilize" in record["note"]
-        assert record["note"].count("order-2") == 1
+        for argv in (["oracle-check", "--beta", "15", "--order", "3"],
+                     ["point", "--quad", "--beta", "15", "--order", "2"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+            assert "did not stabilize" in captured.err
+            assert captured.err.count("order-2") == 1
+            assert "order-3" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["point", "--quad", "--order", "0"],
+        ["sweep", "--var", "beta", "--from", "1", "--to", "2", "--points", "2",
+         "--quad", "--order", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_quadrature_needs_a_correction_order(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: quadrature oracle needs max_order in {2, 3, 4}, got 0\n")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["point", "--temp", "nan"], "temp"),
+        (["point", "--temp", "inf"], "temp"),
+        (["point", "--temp", "1e-320"], "temp"),
+        (["sweep", "--var", "temp", "--from", "1e-320", "--to", "1",
+          "--points", "3"], "temp"),
+        (["point", "--z", "10", "--t-reduced", "1e-320"], "t_reduced"),
+    ], ids=["nan", "inf", "1e-320", "sweep", "t_reduced"])
+    def test_temperature_errors_name_the_temperature(self, argv, name, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} ")
+        assert captured.err.count("\n") == 1
+        assert "beta must" not in captured.err
 
     def test_quadrature_at_beta_1e20_is_ok(self, capsys):
         # beta*Omega = 2e20 takes the sector limit
