@@ -3,7 +3,7 @@
 Variational perturbation expansion around an optimized harmonic reference:
 the first-order (variational) free energy plus closed-form corrections
 through fourth order, cross-checked by two independent oracles
-(imaginary-time diagram quadrature and exact diagonalization).
+(imaginary-time diagram integrals and exact diagonalization).
 
 The series path is pure ``math``.  The oracles' names are re-exported
 lazily: ``diagrams`` and ``spectrum``, and numpy with them, are imported

@@ -13,19 +13,19 @@ Subcommands
     only; rendering is left to external tools).
 ``point``
     Evaluate one parameter point, optionally with the exact-
-    diagonalization oracle (``--exact``) and the diagram-quadrature
-    oracle (``--quad``).
+    diagonalization oracle (``--exact``) and the diagram oracle
+    (``--quad``), which integrates each diagram exactly.
 ``sweep``
     Evaluate a grid over one physical variable.
 ``oracle-check``
-    Compare each closed-form correction with its quadrature value and
-    report relative gaps.
+    Compare each closed-form correction with its diagram-oracle value
+    and report relative gaps.
 
 Exit codes: 0 success; 1 invalid request; 2 a numerical result failed to
 converge or an oracle-check gap exceeded its tolerance.  Rows whose exact
 oracle reached its basis cap, and oracle-check rows over tolerance, are
-still emitted, marked degraded; a gap solve or quadrature that does not
-converge stops the command with one error line.
+still emitted, marked degraded; a gap solve that does not converge stops
+the command with one error line.
 
 ``main`` builds the parser on its first call and reuses it for every later
 call in the process; importing this module builds none.  The ``run_*``
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="add the exact-diagonalization oracle")
     p.add_argument("--quad", action="store_true",
-                   help="add the diagram-quadrature oracle per order")
+                   help="add the diagram oracle (exact integrals) per order")
     _add_output_flags(p)
 
     p = sub.add_parser("sweep", help="evaluate a grid over one variable",
@@ -153,11 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="add the exact-diagonalization oracle")
     p.add_argument("--quad", action="store_true",
-                   help="add the diagram-quadrature oracle per order")
+                   help="add the diagram oracle (exact integrals) per order")
     _add_output_flags(p)
 
     p = sub.add_parser("oracle-check",
-                       help="closed forms vs diagram quadrature",
+                       help="closed forms vs exact diagram integrals",
                        description=run_oracle_check.__doc__)
     _add_param_flags(p)
     _add_order_flag(p)

@@ -19,8 +19,8 @@ Reduced variables (valid for m = 1): the substitution x -> lambda^{-1/6} x maps
 
 so reduced free energies depend on (z, T_red) only.
 
-Everything here is pure ``math``: the quadrature oracle evaluates the
-propagator itself, from the gaps between its times (see ``diagrams``).
+Everything here is pure ``math``: the diagram oracle builds the propagator
+itself, from the gaps between its times (see ``diagrams``).
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
-        for name in ("m", "omega", "lam", "beta"):
+        for name, quantity in (("m", "mass"), ("omega", "omega"),
+                               ("lam", "coupling lambda"), ("beta", "beta")):
             v = getattr(self, name)
             if not math.isfinite(v):
-                raise ValidationError(f"{name} must be finite, got {v!r}")
+                raise ValidationError(f"{quantity} must be finite, got {v!r}")
         if self.m <= 0.0:
             raise ValidationError(f"mass must be positive, got {self.m}")
         if self.lam <= 0.0:
@@ -82,8 +83,10 @@ class RescaledParams:
     t_reduced: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.z) and math.isfinite(self.t_reduced)):
-            raise ValidationError("rescaled parameters must be finite")
+        for name in ("z", "t_reduced"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValidationError(f"{name} must be finite, got {v!r}")
         if self.z < 0.0:
             raise ValidationError(f"z must be >= 0, got {self.z}")
         if self.t_reduced <= 0.0:
@@ -109,9 +112,12 @@ def unrescale(rp: RescaledParams, lam: float = 1.0) -> ModelParams:
     Free energies computed at the representative satisfy
     F_red = F(unrescale(rp, lam)) * lam^{-1/3}; with lam = 1 they coincide.
     """
-    if lam <= 0.0:
-        raise ValidationError(f"coupling lambda must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValidationError(f"coupling lambda must be positive and finite, got {lam}")
     omega = math.sqrt(2.0 * rp.z) * lam ** (1.0 / 3.0)
+    if omega == math.inf:
+        raise ValidationError(f"z = {rp.z} at lambda = {lam} "
+                              f"gives omega = {omega}, outside double precision")
     beta = lam ** (-1.0 / 3.0) / rp.t_reduced
     if not 0.0 < beta < math.inf:
         raise ValidationError(f"t_reduced = {rp.t_reduced} at lambda = {lam} "

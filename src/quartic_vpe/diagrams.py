@@ -1,47 +1,43 @@
-"""Direct quadrature of connected vacuum diagrams: the series oracle.
+"""Exact integration of connected vacuum diagrams: the series oracle.
 
 Each correction order is a signed combination of imaginary-time
 integrals of products of trial-oscillator propagators over the thermal
-circle.  This module evaluates those integrals numerically from nothing
-but the propagator, the diagram topology, and its symmetry factor, so
-the result is an independent check on the closed forms in ``series``.
+circle.  This module evaluates those integrals from nothing but the
+propagator, the diagram topology, and its symmetry factor, so the result
+is an independent check on the closed forms in ``series``.
 
-The integration strategy: one time is eliminated by translation
-invariance on the circle; the remaining ``n - 1`` times are ordered,
-which splits the domain into simplices where every propagator argument
-is a plain difference (no kinks inside a panel).  Orderings with the
-same integrand -- an ordering and its mirror under tau -> beta - tau,
-or orderings with identical edge lists -- are integrated once and
-weighted by their multiplicity.  Each simplex is mapped to the unit
-cube by stick-breaking and integrated with a panel-based Gauss-Legendre
-rule.  The propagator is built there from per-gap factors, in units of
-its scale 1/(2 m Omega (1 - e^{-beta Omega})), so the integrand is O(1)
-at every beta*Omega; the scale's powers, beta**(n - 1) and lambda**n join
-the prefactor as a mantissa and a binary exponent.  The rule is chosen
-by an embedded error estimate, as in QUADPACK (Piessens et al., 1983;
-Trefethen, *Approximation Theory and Approximation Practice*, ch. 19):
-each point runs a nested ladder of 8, 16, 24 and then 32 nodes per panel
-once, each rule the embedded error rule of the next, and accepts the
-first rung where the two agree to the tolerance.  Each axis has two
-uniform panels up to beta*Omega = 24, and five graded toward both ends up
-to ``X_SECTOR`` = 42.  Beyond that each integral is its sector limit
-(Hepp, Commun. Math. Phys. 2 (1966) 301; Binoth and Heinrich, Nucl.
-Phys. B 585 (2000) 741; see ``_sector_sum``).
+One time is eliminated by translation invariance on the circle; the
+remaining ``n - 1`` times are ordered, which splits the domain into
+simplices in the gaps between neighbouring times.  Orderings with the
+same integrand -- an ordering and its mirror under tau -> beta - tau, or
+orderings with identical edge lists -- are integrated once and weighted
+by their multiplicity.  In units of its scale
+1/(2 m Omega (1 - e^{-beta Omega})) the propagator is a sum of two
+exponentials of the gaps, so each integrand is a finite sum of terms
+w e^{-beta Omega sum_k c_k u_k} with integer nodes c_k and positive
+integer weights w (``_gap_terms``).  Each term integrates exactly over
+the simplex to a divided difference of the exponential (Hermite-Genocchi;
+de Boor, Surveys in Approximation Theory 1 (2005) 46), evaluated to about
+machine precision (McCurdy, Ng and Parlett, Math. Comp. 43 (1984) 501; see
+``_simplex_integrals``).  The scale's powers, beta**(n - 1) and
+lambda**n join the prefactor as a mantissa and a binary exponent.
+Beyond ``X_SECTOR`` = 42 each integral is its sector limit (Hepp,
+Commun. Math. Phys. 2 (1966) 301; Binoth and Heinrich, Nucl. Phys. B 585
+(2000) 741; see ``_sector_sum``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections.abc import Iterator
+from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
 
 import numpy as np
 
 from .core import ModelParams, check_frequency
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "DiagramSpec",
@@ -163,67 +159,13 @@ def builtin_diagrams() -> list[DiagramSpec]:
     ]
 
 
-# Relative agreement of a rung with its embedded rule.
-REL_TOL = 1e-9
-# Gauss-Legendre nodes per panel; each rule is the embedded rule of the next.
-# Even steps keep the cost of a point close to a smooth function of
-# beta*Omega.  On the two uniform panels order 4 ends the ladder on the 8/16
-# rung up to beta*Omega of about 2, on 16/24 up to about 10 and on 24/32 up
-# to the grading threshold (orders 2 and 3 on 8/16 up to about 3, on 24/32
-# only above about 20), so every uniform point passes on its layout.  A scan
-# of the built-in diagrams (3,400 points from 1e-8 to 42 at orders 2 and 3,
-# 660 at order 4, 20 more below 1e-8 each) finds none that fails: 24/32
-# passes at <= 0.22 REL_TOL, every graded point (24, 42] ends on 16/24 at
-# <= 2.2e-11, and points below 1e-8 end on 8/16 at <= 6.7e-16.
-LADDER = (8, 16, 24, 32)
-PANELS_PER_DIM = 2
-# Width ratio of neighbouring graded panels.  On order 4 at beta*Omega = 24-40
-# (edges continued to 1/2) ratio 8 costs 0.35-0.67x what 2, 4 and 16 cost.
-GRADING_RATIO = 8
-# Beyond this beta*Omega the panels are graded toward both axis ends.  The
-# two uniform panels pass up to about 25.5 (order 4's estimate is 2e-10 at
-# 24 and 7e-10 at 25.5); beyond that order 4 fails on them.
-GRADING_THRESHOLD = 24.0
 # Beyond this beta*Omega each diagram takes its sector limit.  The dropped
 # terms are at most (2.8 x + 22) e^{-x} of it at x = beta*Omega (diagram 4c,
 # the largest), 8.0e-17 < 2**-53 at x = 42 and 2.1e-16 at 41.
 X_SECTOR = 42.0
-# axis-0 nodes evaluated per product-grid chunk (bounds the working memory)
-CHUNK_NODES = 16
-
-
-def _panel_edges(x: float) -> np.ndarray:
-    """Panel boundaries in r-space [0, 1] for beta*Omega = ``x`` <= ``X_SECTOR``.
-
-    Beyond the grading threshold five panels resolve the decay length 1/x
-    (in units of the axis) at both ends: edges at 1/x and ``GRADING_RATIO``
-    times that, mirrored about 1/2.  Anchored at a power of two instead of
-    1/x, the panel from about 4 to 32 decay lengths leaves the 16-node rule
-    3e-10 off, and the 8/16 rung accepts that wherever the 8-node error
-    crosses it.  The first edge keeps 4 mantissa bits, so every edge and its
-    mirror are exact; unrounded edges triple the round-off error.
-    """
-    if x <= GRADING_THRESHOLD:
-        return np.linspace(0.0, 1.0, PANELS_PER_DIM + 1)
-    mantissa, exponent = math.frexp(1.0 / x)
-    edge = math.ldexp(round(mantissa * 16) / 16, exponent)
-    left = [0.0, edge, GRADING_RATIO * edge]
-    return np.array(left + [1.0 - e for e in reversed(left)])
-
-
-def _nodes_and_weights(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, ...]:
-    """Nodes r, their complements 1 - r and weights on the panels ``edges``.
-
-    The layout mirrors about 1/2 node by node, so a right-half node takes its
-    complement exactly from the mirrored left-half node: a gap near the end
-    of an axis keeps its relative precision however small it is.
-    """
-    gauss_t, gauss_w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + half[:, None] * gauss_t[None, :]).ravel()
-    weights = (half[:, None] * gauss_w[None, :]).ravel()
-    return nodes, np.where(nodes > 0.5, nodes[::-1], 1.0 - nodes), weights
+# Terms of the series for a divided difference whose nodes span at most 1:
+# the tail after them is below 1/20! < 2**-61 of the sum.
+SERIES_TERMS = 20
 
 
 Ordering = tuple[tuple[tuple[int, int], int], ...]
@@ -284,104 +226,76 @@ def _sector_sum(diagram: DiagramSpec) -> float:
     return num / den
 
 
-def _integrate_level(
-    per_diagram: list[list[tuple[int, Ordering]]],
-    dim: int,
-    x: float,
-    nodes: np.ndarray,
-    complements: np.ndarray,
-    weights: np.ndarray,
-    mode: str,
-) -> np.ndarray:
-    """Simplex integrals for same-order diagrams on one product grid, in
-    units of beta**(n - 1) (2 m Omega (1 - e^{-x}))**(-2n), x = beta*Omega.
+@functools.cache
+def _gap_terms(diagram: DiagramSpec, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """The integrand as rows of ascending integer nodes c and weights w.
 
-    Stick-breaking gives the gap u_k from slot k to slot k + 1 and the
-    stick v_k left after slot k, both in units of beta; v_k is a product of
-    complements, so the gaps from slot k on, closing gap included, sum to
-    it exactly.  In these units the propagator between slots a < b is
-    E_a...E_{b-1} + E_0...E_{a-1} e^{-x v_b} with E_k = e^{-x u_k}: it lies
-    in (0, 2] and depends on the first b axes only.
+    Gap k runs from slot k to slot k + 1 (the closing gap n - 1 back to the
+    anchor), in units of beta.  In units of its scale the propagator between
+    slots a < b is e^{-x A} + e^{-x B} at x = beta*Omega, where A sums the
+    gaps a .. b - 1 and B the rest of the circle, so the integrand of each
+    ordering class is a sum of terms w e^{-x sum_k c_k u_k}: an edge raised
+    to p puts j copies on one arc and p - j on the other, weighted by
+    C(p, j).  Full mode weights each point by the closing gap, which is the
+    same as integrating over one more gap with the closing gap's node.  The
+    integral over the simplex does not depend on the order of the nodes, so
+    rows with the same sorted nodes merge.
     """
-    needed_pairs = {
-        pair for classes in per_diagram for _, edge_slots in classes for pair, _ in edge_slots
-    }
-
-    totals = np.zeros(len(per_diagram))
-    chunk = CHUNK_NODES if dim > 1 else nodes.size
-    for start in range(0, nodes.size, chunk):
-        measure: np.ndarray | float = 1.0
-        remaining: np.ndarray | float = 1.0
-        gaps = []  # E_k
-        tails = []  # e^{-x v_{k+1}}
-        for axis in range(dim):
-            shape = [1] * dim
-            shape[axis] = -1
-            part = slice(start, start + chunk) if axis == 0 else slice(None)
-            r_ax, c_ax, w_ax = (a[part].reshape(shape) for a in (nodes, complements, weights))
-            measure = measure * w_ax * remaining
-            gaps.append(np.exp(-x * (remaining * r_ax)))
-            remaining = remaining * c_ax
-            tails.append(np.exp(-x * remaining))
-        if mode == "full":
-            measure = measure * remaining
-        powered = {}
-        for a, b in needed_pairs:
-            outside = tails[b - 1] if a == 0 else tails[b - 1] * reduce(mul, gaps[:a])
-            powered[(a, b), 1] = reduce(mul, gaps[a:b]) + outside
-        for index, classes in enumerate(per_diagram):
-            for count, edge_slots in classes:
-                product: np.ndarray | None = None
-                for pair, power in edge_slots:
-                    factor = powered.get((pair, power))
-                    if factor is None:
-                        factor = powered[(pair, power)] = powered[(pair, 1)] ** power
-                    product = factor if product is None else product * factor
-                totals[index] += count * float(np.sum(measure * product))
-    return totals
+    n = diagram.order
+    rows: Counter[tuple[int, ...]] = Counter()
+    for count, edge_slots in _slot_orderings(diagram, mode):
+        terms = Counter({(0,) * n: count})
+        for (a, b), power in edge_slots:
+            expanded: Counter[tuple[int, ...]] = Counter()
+            for nodes, weight in terms.items():
+                for j in range(power + 1):
+                    key = tuple(c + (j if a <= k < b else power - j)
+                                for k, c in enumerate(nodes))
+                    expanded[key] += weight * math.comb(power, j)
+            terms = expanded
+        for nodes, weight in terms.items():
+            rows[tuple(sorted(nodes + nodes[-1:] if mode == "full" else nodes))] += weight
+    keys = sorted(rows)
+    return np.array(keys, dtype=float), np.array([rows[k] for k in keys], dtype=float)
 
 
-def _rungs(
-    params: ModelParams,
-    omega_big: float,
-    diagrams: list[DiagramSpec],
-    mode: str,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(values, |values - embedded|) of each rung of ``LADDER`` on the
-    panel layout of ``_panel_edges``."""
-    per_diagram = [_slot_orderings(d, mode) for d in diagrams]
-    dim = diagrams[0].order - 1
-    x = params.beta * omega_big
-    edges = _panel_edges(x)
-    embedded = None
-    for nodes_per_panel in LADDER:
-        values = _integrate_level(
-            per_diagram, dim, x, *_nodes_and_weights(edges, nodes_per_panel), mode,
-        )
-        if embedded is not None:
-            yield values, np.abs(values - embedded)
-        embedded = values
+def _simplex_integrals(s: np.ndarray) -> np.ndarray:
+    """Integral of e^{-sum_k s_k u_k} over the unit simplex, per row of
+    ascending nodes s (the last u_k is one minus the others).
+
+    By Hermite-Genocchi it is the divided difference of e^{-t} at the nodes,
+    sign (-1)**width removed.  Newton's table builds it from entries over
+    ever more neighbouring nodes.  An entry whose nodes span at most 1 is
+    e^{-top} sum_m h_m(top - s) / (m + width)!, with h_m the complete
+    symmetric polynomial: every term is positive, and the m-th is at most
+    1/(width! m!).  A wider entry is the difference of its two neighbours
+    over the span (McCurdy, Ng and Parlett 1984): a span above 1 keeps the
+    two neighbours apart, so their difference loses few digits.
+    """
+    table = np.exp(-s)
+    for width in range(1, s.shape[1]):
+        top = s[:, width:]
+        span = top - s[:, :-width]
+        h = [np.ones_like(top)] + [np.zeros_like(top)] * (SERIES_TERMS - 1)
+        for k in range(width):  # the top node adds nothing to h
+            d = top - s[:, k:k + top.shape[1]]
+            for m in range(1, SERIES_TERMS):
+                h[m] = h[m] + d * h[m - 1]
+        series = sum(h_m / math.factorial(m + width) for m, h_m in enumerate(h))
+        table = np.where(span <= 1.0, np.exp(-top) * series,
+                         (table[:, :-1] - table[:, 1:]) / np.maximum(span, 1.0))
+    return table[:, 0]
 
 
-def _refined_integrals(params: ModelParams, omega_big: float, diagrams: list[DiagramSpec],
-                       coeffs: np.ndarray, exponent: int, mode: str, what: str) -> float:
-    """Sum of ``coeffs`` times the diagrams' scaled simplex integrals, times
+def _diagram_sum(params: ModelParams, omega_big: float, diagrams: list[DiagramSpec],
+                 coeffs: np.ndarray, exponent: int, mode: str) -> float:
+    """Sum of ``coeffs`` times the diagrams' simplex integrals, in units of
+    beta**(n - 1) (2 m Omega (1 - e^{-beta Omega}))**(-2n), times
     2**exponent.
 
     Above ``X_SECTOR`` each integral is its sector limit; beta and Omega
-    enter through ``math.frexp``, so beta*Omega may overflow.  Below it,
-    accepts the first rung of ``_rungs`` where every diagram's
-    |full - embedded| is below ``REL_TOL`` times |full|; else raises
-    ConvergenceError with the last rung's value and bound
-    sum(|coeffs| * |full - embedded|).  The run drivers do not catch it,
-    so such a quadrature stops the command; a library caller gets the
-    value and bound.  Once the embedded rule resolves the
-    integrand, the difference over-estimates the error of the value
-    returned; an embedded rule of one or two nodes on panels wider than
-    the decay length 1/(beta Omega) could agree with the full rule by
-    accident, so the ladder starts at 8.  Order 4 costs 3 ms at
-    beta*Omega <= 2, 11 ms at 3-10, 28 ms at 12-24 and 0.19-0.33 s at 24-42,
-    a sector limit 0.3 ms (one BLAS thread, 2-core VM).
+    enter through ``math.frexp``, so beta*Omega may overflow.  Below it each
+    integral is the weighted sum of its terms' exact simplex integrals.
     """
     if params.beta * omega_big > X_SECTOR:
         sums = np.array([_sector_sum(d) for d in diagrams])
@@ -389,20 +303,17 @@ def _refined_integrals(params: ModelParams, omega_big: float, diagrams: list[Dia
         n = diagrams[0].order
         return math.ldexp(float(np.sum(coeffs * sums)) / (beta * om) ** (n - 1),
                           exponent - (n - 1) * (e_beta + e_om))
-    for values, bounds in _rungs(params, omega_big, diagrams, mode):
-        if np.all(bounds < REL_TOL * np.abs(values)):
-            return math.ldexp(float(np.sum(coeffs * values)), exponent)
-    raise ConvergenceError(
-        f"{what} did not stabilize to rel_tol={REL_TOL} "
-        f"on the {LADDER[-2]}/{LADDER[-1]} rung",
-        value=math.ldexp(float(np.sum(coeffs * values)), exponent),
-        bound=math.ldexp(float(np.sum(np.abs(coeffs) * bounds)), exponent),
-    )
+    x = params.beta * omega_big
+    values = []
+    for diagram in diagrams:
+        nodes, weights = _gap_terms(diagram, mode)
+        values.append(weights @ _simplex_integrals(x * nodes))
+    return math.ldexp(float(np.sum(coeffs * values)), exponent)
 
 
 def _scale(params: ModelParams, omega_big: float, n: int) -> tuple[float, int]:
     """lam**n beta**(n - 1) / (2 m Omega (1 - e^{-beta Omega}))**(2n), the
-    powers that ``_integrate_level`` leaves out, as (mantissa, binary
+    powers that ``_diagram_sum`` leaves out, as (mantissa, binary
     exponent): every factor enters through ``math.frexp``, so no power
     leaves double range."""
     check_frequency(omega_big)
@@ -421,7 +332,7 @@ def quad_diagram(
     diagram: DiagramSpec,
     mode: str = "reduced",
 ) -> float:
-    """Contribution of one diagram to the free energy, by quadrature.
+    """Contribution of one diagram to the free energy, integrated exactly.
 
     Returns sign * (lambda^n / n!) * N * integral, the quantity the closed
     forms of ``series`` decompose; the diagrams of one order sum to the
@@ -435,21 +346,15 @@ def quad_diagram(
     n = diagram.order
     scale, exponent = _scale(params, omega_big, n)
     prefactor = diagram.sign * scale / math.factorial(n) * diagram.symmetry_factor
-    return _refined_integrals(params, omega_big, [diagram], np.array([prefactor]),
-                              exponent, mode, f"quadrature for diagram {diagram.label}")
+    return _diagram_sum(params, omega_big, [diagram], np.array([prefactor]), exponent, mode)
 
 
 def quad_correction(params: ModelParams, omega_big: float, order: int) -> float:
-    """Sum of all built-in diagrams of one order (the oracle for c_n).
-
-    Same-order diagrams share one quadrature grid and one set of
-    propagator evaluations per rung.
-    """
+    """Sum of all built-in diagrams of one order (the oracle for c_n)."""
     chosen = [d for d in builtin_diagrams() if d.order == order]
     if not chosen:
         raise ValidationError(f"no built-in diagrams of order {order}")
     scale, exponent = _scale(params, omega_big, order)
     base = chosen[0].sign * scale / math.factorial(order)
     coeffs = base * np.array([d.symmetry_factor for d in chosen])
-    return _refined_integrals(params, omega_big, chosen, coeffs, exponent,
-                              "reduced", f"order-{order} quadrature")
+    return _diagram_sum(params, omega_big, chosen, coeffs, exponent, "reduced")

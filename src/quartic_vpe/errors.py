@@ -12,8 +12,8 @@ class ConvergenceError(RuntimeError):
     """A numerical procedure failed to reach its tolerance within budget.
 
     Carries the best value reached and an error bound.  The run drivers
-    turn the exact oracle's into a degraded row that keeps them; a
-    quadrature's or a gap solve's stops the whole command (CLI exit code 2).
+    turn the exact oracle's into a degraded row that keeps them; a gap
+    solve's stops the whole command (CLI exit code 2).
     """
 
     def __init__(self, message, value=None, bound=None):

@@ -7,7 +7,7 @@ significant digits, fixed column order given by the ResultRow field order).
 
 Every series row (tables, figures, points, sweeps) comes from one builder,
 ``_point_rows``: one gap solve per row, whose trial frequency the
-quadrature oracle reuses, plus the fixed columns a driver adds (published
+diagram oracle reuses, plus the fixed columns a driver adds (published
 ``ref_*`` values, fig2's blank f2/f3).  The exact oracle of every row in
 an (m, omega, lam) group works in the basis of the group's hottest row and
 shares its spectra, so one call diagonalizes each basis size at most once
@@ -31,9 +31,9 @@ Conventions:
 * two things degrade a row: the exact oracle reaching its basis cap (the
   row keeps the partial value and its last step) and an oracle-check gap
   above tolerance.  The row gets ``status`` ``"degraded"`` and explains
-  itself in ``note``.  A quadrature or gap solve that does not converge
-  raises and stops the command.  Silent NaNs are never emitted (every
-  populated number is finite);
+  itself in ``note``.  A gap solve that does not converge raises and
+  stops the command.  Silent NaNs are never emitted (every populated
+  number is finite);
 * CSV columns that no row populates are omitted entirely rather than
   emitted blank.
 """
@@ -72,7 +72,7 @@ STATUS_DEGRADED = "degraded"
 FIGURE_DEFAULT_RESOLUTION = {"fig1": 20, "fig2": 25, "fig3": 20}
 FIGURE_Z_VALUES = (0.2, 1.0, 10.0, 30.0, 50.0)
 
-# Default agreement tolerances (relative) for the closed-form vs quadrature
+# Default agreement tolerances (relative) for the closed-form vs diagram-oracle
 # cross-check, per correction order.
 ORACLE_CHECK_TOL = {2: 1e-6, 3: 1e-6, 4: 1e-4}
 
@@ -169,14 +169,14 @@ def _point_rows(grid: list[ModelParams], max_order: int, exact: bool,
                 quad: bool, fixed: list[dict] | None = None) -> list[ResultRow]:
     """The series rows of the points in ``grid``, with the requested oracles.
 
-    Each row solves its gap once.  A gap solve or a quadrature that does
-    not converge raises, so only the exact oracle degrades a row, at its
-    basis cap.  The exact oracle runs per row, but the rows of one
-    (m, omega, lam) group share their basis frequency, the largest Omega
-    of the group (its hottest row), and one dict of spectra, so each basis
-    size is diagonalized at most once per group.  Quadrature runs at each
-    row's own Omega.  ``fixed`` holds, per row, columns the caller
-    sets outright; they override the computed ones.
+    Each row solves its gap once.  A gap solve that does not converge
+    raises, so only the exact oracle degrades a row, at its basis cap.
+    The exact oracle runs per row, but the rows of one (m, omega, lam)
+    group share their basis frequency, the largest Omega of the group (its
+    hottest row), and one dict of spectra, so each basis size is
+    diagonalized at most once per group.  The diagram oracle runs at each
+    row's own Omega.  ``fixed`` holds, per row, columns the caller sets
+    outright; they override the computed ones.
     """
     if quad and max_order < 2:
         raise ValidationError(
@@ -319,12 +319,11 @@ def run_figure(which: str, grid_resolution: int | None = None) -> list[ResultRow
 
 def run_oracle_check(params: ModelParams, *, max_order: int = 4,
                      tol: float | None = None) -> list[ResultRow]:
-    """Compare each closed-form correction with its quadrature value.
+    """Compare each closed-form correction with its diagram-oracle value.
 
     One row per order in {2, 3, 4} up to ``max_order``, carrying the
-    closed-form value, the quadrature value, and their relative gap.  A gap
-    above tolerance marks the row degraded; a quadrature that does not
-    converge raises its ConvergenceError.
+    closed-form value, the value the diagrams integrate to (``quad``), and
+    their relative gap.  A gap above tolerance marks the row degraded.
     ``tol=None`` uses the per-order defaults in :data:`ORACLE_CHECK_TOL`;
     an explicit value applies to every order.  A correction that underflows
     below the smallest normal double has no relative gap and is a

@@ -32,7 +32,7 @@ exponent of the result.  At high temperature c2, c3 and c4 tend to
 ``q = exp(-x)``, into each ``P_n`` in exact rational arithmetic and
 matches the recorded q-polynomial of R_n, the form the imaginary-time
 integrals give, coefficient for coefficient.  Those q-polynomials are
-checked against direct quadrature of the integrals (see ``diagrams``);
+checked against the integrals evaluated exactly (see ``diagrams``);
 the asymptotes are their q**0 terms and also the diagrams' exact sector
 limits (``TestSectorLimit`` in ``tests/test_diagrams.py``).
 """

@@ -3,6 +3,7 @@
 import importlib
 import math
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from quartic_vpe.core import (
     ModelParams,
     Propagator,
     RescaledParams,
+    coth_half,
     harmonic_free_energy,
     rescale,
     unrescale,
@@ -103,6 +105,16 @@ class TestPropagator:
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValidationError):
                 Propagator(m=1.0, omega_big=bad, beta=1.0)
+
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Propagator(m=0.0, omega_big=1.0, beta=1.0),
+         "propagator requires m > 0, beta > 0, got (m=0.0, beta=1.0)"),
+        (lambda: coth_half(0.0), "coth_half needs x > 0, got 0.0"),
+    ], ids=["propagator-mass", "coth-half"])
+    def test_non_positive_arguments_rejected(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestMatsubara:

@@ -1,29 +1,29 @@
-"""Diagram validation and quadrature-oracle consistency checks."""
+"""Diagram validation and diagram-oracle consistency checks."""
 
+import ast
 import math
+import time
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quartic_vpe.core import ModelParams
 from quartic_vpe.diagrams import (
-    GRADING_THRESHOLD,
-    LADDER,
-    REL_TOL,
     X_SECTOR,
     DiagramSpec,
-    _nodes_and_weights,
-    _panel_edges,
-    _rungs,
+    _gap_terms,
     _sector_sum,
+    _simplex_integrals,
     _slot_orderings,
     builtin_diagrams,
     quad_correction,
     quad_diagram,
 )
-from quartic_vpe.errors import ConvergenceError, ValidationError
+from quartic_vpe.errors import ValidationError
 from quartic_vpe.series import _PREFACTORS, closed_correction
 from quartic_vpe.variational import solve_gap
 
@@ -48,7 +48,7 @@ def spectral_ring_value(p, omega_big, n_cut=5000):
               / (8 m^2 W^2 sinh^2(x/2)),
 
     with x = beta*W and nu_k = 2 pi k / beta.  Completely independent of
-    the panel quadrature.
+    the simplex integrals.
     """
     beta, m, w = p.beta, p.m, omega_big
     x = beta * w
@@ -82,6 +82,46 @@ def exact_sector_sum(diagram):
                     term /= cov[k]
             total += term
     return total
+
+
+def decimal_simplex_integral(nodes, x):
+    """The integral of e^{-x sum_k c_k u_k} over the unit simplex, at 40
+    digits: e^{-top} sum_m h_m(top - s) / (m + width)! at s = x c, h_m the
+    complete symmetric polynomial.  Every term is positive, and the series
+    is summed whatever the span, without a difference of neighbours."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        s = [Decimal(x) * int(c) for c in nodes]
+        d = [s[-1] - v for v in s[:-1]]
+        width = len(d)
+        h = [Decimal(1)] * width  # h_m of d[:k + 1], here at m = 0
+        factorial = Decimal(math.factorial(width))
+        term = total = 1 / factorial
+        m = 0
+        while m <= d[0] or term > total * Decimal("1e-40"):
+            m += 1
+            factorial *= m + width
+            below = Decimal(0)
+            for k in range(width):
+                h[k] = below + d[k] * h[k]
+                below = h[k]
+            term = h[-1] / factorial
+            total += term
+        return (-s[-1]).exp() * total
+
+
+def imported_names(path):
+    """Every module a source file imports, and every name it imports from
+    one, dotted and without leading dots."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return names
 
 
 def point_at(x):
@@ -154,74 +194,78 @@ class TestOrderingClasses:
         }
         assert counts == {"4a": 2, "4b": 2, "4c": 3}
 
+    def test_terms_expand_every_edge(self):
+        # each ordering's integrand is 2**(sum of powers) = 4**n at
+        # beta*Omega = 0, so the weights of all rows sum to that times the
+        # number of orderings
+        for d in builtin_diagrams():
+            for mode, orderings in (("reduced", math.factorial(d.order - 1)),
+                                    ("full", math.factorial(d.order))):
+                nodes, weights = _gap_terms(d, mode)
+                assert weights.sum() == orderings * 4**d.order
+                assert nodes.shape[1] == d.order + (mode == "full")
+                assert np.all(np.diff(nodes, axis=1) >= 0)
 
-class TestPanelEdges:
-    def test_graded_edges_increasing_and_symmetric(self):
-        # two uniform panels up to the grading threshold; above it, up to the
-        # sector switch, edges at 1/x rounded to 4 mantissa bits and 8 times
-        # that, mirrored: 5 panels per axis
-        for x in (1e-3, 2.0, GRADING_THRESHOLD):
-            np.testing.assert_array_equal(_panel_edges(x), [0.0, 0.5, 1.0])
-        for x in (1.0001 * GRADING_THRESHOLD, 25.0, 30.0, 41.0, X_SECTOR):
-            edges = _panel_edges(x)
-            first = edges[1]
-            assert first == pytest.approx(1.0 / x, rel=1 / 16)
-            assert math.frexp(first)[0] * 16 == round(math.frexp(first)[0] * 16)
-            np.testing.assert_array_equal(
-                edges, [0.0, first, 8 * first, 1 - 8 * first, 1 - first, 1.0])
-            assert np.all(np.diff(edges) > 0.0)
-            np.testing.assert_array_equal(edges, 1.0 - edges[::-1])
 
-    def test_right_half_complements_are_the_mirrored_nodes(self):
-        # a complement near 0 is the mirrored left-half node itself, not
-        # 1 - r rounded to a multiple of eps
-        for x in (2.0, 30.0, 41.0):
-            nodes, complements, _ = _nodes_and_weights(_panel_edges(x), 24)
-            right = nodes > 0.5
-            np.testing.assert_array_equal(complements[right], nodes[::-1][right])
-            np.testing.assert_array_equal(complements[~right], 1.0 - nodes[~right])
-            np.testing.assert_allclose(nodes + complements, 1.0, rtol=0.0, atol=2e-16)
-            assert complements.min() == nodes.min()
+class TestSimplexIntegrals:
+    def test_against_a_40_digit_series(self):
+        # every reduced row of every diagram, from the smallest beta*Omega to
+        # just below the sector limit, weighted as the oracle sums them
+        start = time.perf_counter()
+        for x in (1e-300, 1e-8, 1.0, 2.566, 9.0, 18.52, 41.9):
+            for d in builtin_diagrams():
+                nodes, weights = _gap_terms(d, "reduced")
+                value = weights @ _simplex_integrals(x * nodes)
+                reference = sum(int(w) * decimal_simplex_integral(row, x)
+                                for row, w in zip(nodes, weights))
+                assert value == pytest.approx(float(reference), rel=2e-15), (x, d.label)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestIndependence:
+    def test_oracles_import_nothing_from_series(self):
+        # the oracles check the closed forms, so neither may share their code
+        src = Path(__file__).parents[1] / "src" / "quartic_vpe"
+        for module in ("diagrams.py", "spectrum.py"):
+            names = imported_names(src / module)
+            assert not [name for name in names if "series" in name.split(".")], module
 
 
 class TestOracleAgreement:
     def test_closed_forms_reproduced(self):
-        # the closed forms and the quadrature share nothing but the
+        # the closed forms and the simplex integrals share nothing but the
         # propagator, yet agree to machine precision
         for m, om, lam, beta in [(1.0, 1.0, 1.0, 2.0), (0.9, 1.3, 0.4, 2.7), (1.2, 0.7, 2.5, 0.3)]:
             p = ModelParams(m=m, omega=om, lam=lam, beta=beta)
             w = solve_gap(p).omega_big
-            assert quad_correction(p, w, 2) == pytest.approx(closed_correction(p, w, 2), rel=1e-12)
-            assert quad_correction(p, w, 3) == pytest.approx(closed_correction(p, w, 3), rel=1e-12)
-            assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=1e-10)
+            for order in (2, 3, 4):
+                assert quad_correction(p, w, order) == pytest.approx(
+                    closed_correction(p, w, order), rel=4e-15)
 
     def test_closed_forms_across_the_temperature_range(self):
-        # from high temperature through the uniform panels to the graded
-        # ones, whichever rung the ladder accepts reproduces the closed forms
+        # from high temperature to the sector limit
         for x in np.geomspace(0.3, 200.0, 12):
             p = point_at(float(x))
             w = solve_gap(p).omega_big
-            assert quad_correction(p, w, 2) == pytest.approx(closed_correction(p, w, 2), rel=1e-13)
-            assert quad_correction(p, w, 3) == pytest.approx(closed_correction(p, w, 3), rel=1e-13)
+            assert quad_correction(p, w, 2) == pytest.approx(closed_correction(p, w, 2), rel=4e-15)
+            assert quad_correction(p, w, 3) == pytest.approx(closed_correction(p, w, 3), rel=4e-15)
         for x in (0.3, 2.0, 4.0, 15.0, 40.0):
             p = point_at(x)
             w = solve_gap(p).omega_big
-            assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=1e-13)
+            assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=4e-15)
 
     def test_closed_forms_across_the_grading_threshold(self):
-        # just below and above the switch from two uniform panels to graded
-        # ones, and on both sides of the switch to the sector limit; at
-        # 1.0207 * 2**k a layout anchored at powers of two, not at 1/x,
-        # accepts order 3 on the 8/16 rung 3e-10 off
-        for x in (0.999 * GRADING_THRESHOLD, 1.004 * GRADING_THRESHOLD, 1.0207 * 32,
+        # on both sides of beta*Omega = 24 and of the switch to the sector
+        # limit
+        for x in (0.999 * 24.0, 1.004 * 24.0, 1.0207 * 32,
                   0.999 * X_SECTOR, 1.004 * X_SECTOR, 100.0, 1000.0):
             p = point_at(x)
             w = solve_gap(p).omega_big
             assert quad_correction(p, w, 2) == pytest.approx(closed_correction(p, w, 2), rel=1e-13)
             assert quad_correction(p, w, 3) == pytest.approx(closed_correction(p, w, 3), rel=1e-13)
-        p = point_at(1.004 * GRADING_THRESHOLD)
+        p = point_at(1.004 * 24.0)
         w = solve_gap(p).omega_big
-        assert p.beta * w > GRADING_THRESHOLD
+        assert p.beta * w > 24.0
         assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=1e-13)
 
     def test_ring_against_spectral_sum(self):
@@ -244,7 +288,7 @@ class TestOracleAgreement:
             d = next(di for di in diagrams if di.label == label)
             reduced = quad_diagram(p, w, d, mode="reduced")
             full = quad_diagram(p, w, d, mode="full")
-            assert full == pytest.approx(reduced, rel=1e-10)
+            assert full == pytest.approx(reduced, rel=2e-15)
 
     def test_vertex_relabeling_invariance(self):
         p = ModelParams(m=1.0, omega=0.5, lam=2.0, beta=1.5)
@@ -291,11 +335,11 @@ class TestOracleAgreement:
             w = solve_gap(p).omega_big
             for order in (2, 3):
                 quad = quad_correction(p, w, order)
-                assert quad == pytest.approx(closed_correction(p, w, order), rel=5e-14), x
+                assert quad == pytest.approx(closed_correction(p, w, order), rel=4e-15), x
         for x in (0.01, 0.025, 0.05, 0.2, 1.0, 5.0, 20.0, 100.0):
             p = point_at(x)
             w = solve_gap(p).omega_big
-            assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=5e-14)
+            assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=4e-15)
 
 
 class TestSectorLimit:
@@ -345,8 +389,8 @@ class TestSymmetries:
         # dilation (omega/s, lambda/s^3, beta*s) has Omega/s and the correction
         # divided by s.  With s = 2**-7 every input scales exactly, so the bits
         # must agree.  Omega is scaled here, not solved again, so only the
-        # quadrature is tested: uniform panels, graded panels at beta*Omega
-        # of about 30, and the sector limit at 2e15 and 843.
+        # oracle is tested: simplex integrals at beta*Omega up to about 30,
+        # and the sector limit at 2e15 and 843.
         s = 2.0**-7
         for m, om, lam, beta in [(1.0, 1.0, 1.0, 0.7), (1.0, 1.0, 1.0, 5.0), (0.3, 2.0, 7.0, 3.0),
                                  (1.0, 1.0, 1.0, 15.0), (1.0, 1.0, 1.0, 1e15),
@@ -362,121 +406,9 @@ class TestSymmetries:
 
 
 class TestFailureModes:
-    def test_non_convergence_reports_estimate(self, monkeypatch):
-        # a tolerance below round-off fails on every rung, so both entry
-        # points give up and report the last rung
-        monkeypatch.setattr("quartic_vpe.diagrams.REL_TOL", 1e-17)
-        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=10.0)
-        w = solve_gap(p).omega_big
-        triangle = next(d for d in builtin_diagrams() if d.label == "3")
-        for what, call in (
-            ("quadrature for diagram 3", lambda: quad_diagram(p, w, triangle)),
-            ("order-3 quadrature", lambda: quad_correction(p, w, 3)),
-        ):
-            with pytest.raises(ConvergenceError) as err:
-                call()
-            assert str(err.value) == (
-                f"{what} did not stabilize to rel_tol=1e-17 on the 24/32 rung"
-            )
-            assert err.value.value == pytest.approx(closed_correction(p, w, 3), rel=1e-13)
-            assert err.value.bound is not None and err.value.bound > 0.0
-
-    def test_embedded_bound_covers_the_error(self):
-        # every rung the ladder rejects carries a full-vs-embedded
-        # difference that bounds the distance of its value from the closed
-        # form; at beta*Omega = 10 every order rejects the first rung (16
-        # nodes, 8 embedded), at 20 orders 3 and 4 reject the 16/24 rung too,
-        # and each bound covers its rung's error there
-        rejected_at = {(5.0, 2): 1, (5.0, 3): 1, (5.0, 4): 1,
-                       (10.0, 2): 1, (10.0, 3): 2, (10.0, 4): 2}
-        for beta in (0.5, 2.0, 5.0, 10.0):
-            p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=beta)
-            w = solve_gap(p).omega_big
-            for order in (2, 3, 4):
-                chosen = [d for d in builtin_diagrams() if d.order == order]
-                # _rungs integrates in units of beta**(n - 1) times the
-                # propagator scale 1/(2 m Omega (1 - e^{-beta Omega})) per power
-                scale = p.beta ** (order - 1) / (
-                    2.0 * p.m * w * -math.expm1(-p.beta * w)) ** (2 * order)
-                coeffs = np.array([
-                    d.sign * p.lam**order / math.factorial(order) * d.symmetry_factor * scale
-                    for d in chosen
-                ])
-                rejected = []
-                for values, bounds in _rungs(p, w, chosen, "reduced"):
-                    if np.all(bounds < REL_TOL * np.abs(values)):
-                        break
-                    rejected.append((coeffs @ values, np.abs(coeffs) @ bounds))
-                if beta in (5.0, 10.0):  # beta*Omega = 10 and 20
-                    assert len(rejected) == rejected_at[(beta, order)]
-                for value, bound in rejected:
-                    assert abs(value - closed_correction(p, w, order)) <= bound
-
-    def test_graded_band_bound_covers_the_error(self):
-        # across the graded band every rejected rung's |full - embedded|
-        # covers its distance from the closed form, and the accepted rung is
-        # at round-off; Omega is set so that beta*Omega is each scanned x
-        for x in np.geomspace(1.001 * GRADING_THRESHOLD, X_SECTOR, 12):
-            p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=float(x) / 2.0)
-            w = float(x) / p.beta
-            for order in (2, 3, 4):
-                chosen = [d for d in builtin_diagrams() if d.order == order]
-                scale = p.beta ** (order - 1) / (
-                    2.0 * p.m * w * -math.expm1(-p.beta * w)) ** (2 * order)
-                coeffs = np.array([
-                    d.sign * p.lam**order / math.factorial(order) * d.symmetry_factor * scale
-                    for d in chosen
-                ])
-                closed = closed_correction(p, w, order)
-                for values, bounds in _rungs(p, w, chosen, "reduced"):
-                    if np.all(bounds < REL_TOL * np.abs(values)):
-                        assert coeffs @ values == pytest.approx(closed, rel=5e-15), (x, order)
-                        break
-                    assert abs(coeffs @ values - closed) <= np.abs(coeffs) @ bounds, (x, order)
-                else:
-                    pytest.fail(f"no rung passes at beta*Omega = {x}, order {order}")
-
-    def test_every_uniform_point_passes_a_rung(self):
-        # the two uniform panels are resolved by some rung of the ladder up
-        # to the grading threshold, and the 24/32 rung, where it is reached,
-        # with a margin.  Besides gap-solved points, Omega is set so that
-        # beta*Omega is x at the ends of the band and where a scan of it
-        # found the 8/16 and 16/24 rungs accepting within 0.3 % of REL_TOL
-        points = [(p, solve_gap(p).omega_big)
-                  for p in map(point_at, (0.2, 2.0, 5.0, 20.0, 0.999 * GRADING_THRESHOLD))]
-        for x in (1e-300, 1e-8, 2.566, 3.798, 4.081, 10.86, 18.52, 20.19, 24.0):
-            p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=x / 2.0)
-            points.append((p, x / p.beta))
-        for p, w in points:
-            x = p.beta * w
-            assert x <= GRADING_THRESHOLD
-            for order in (2, 3, 4):
-                chosen = [d for d in builtin_diagrams() if d.order == order]
-                for rung, (values, bounds) in enumerate(_rungs(p, w, chosen, "reduced")):
-                    if LADDER[rung + 1] == LADDER[-1]:
-                        assert np.all(bounds < 0.5 * REL_TOL * np.abs(values)), (x, order)
-                    if np.all(bounds < REL_TOL * np.abs(values)):
-                        break
-                else:
-                    pytest.fail(f"no rung passes at beta*Omega = {x}, order {order}")
-
-    def test_one_layout_per_point(self, monkeypatch):
-        # a tolerance below round-off fails on every rung of a graded point
-        # (beta*Omega of about 30); the ladder runs once on its one layout
-        # and the point fails with the 24/32 estimate
-        monkeypatch.setattr("quartic_vpe.diagrams.REL_TOL", 1e-17)
-        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=15.0)
-        w = solve_gap(p).omega_big
-        assert GRADING_THRESHOLD < p.beta * w <= X_SECTOR
-        chosen = [d for d in builtin_diagrams() if d.order == 3]
-        assert len(list(_rungs(p, w, chosen, "reduced"))) == len(LADDER) - 1
-        with pytest.raises(ConvergenceError) as err:
-            quad_correction(p, w, 3)
-        assert math.isfinite(err.value.value)
-
     def test_beta_1e20_takes_the_sector_limit(self):
-        # at beta*Omega = 2e20 every quadrature node would sit past the decay
-        # length; the sector limit needs none
+        # at beta*Omega = 2e20 every term but the sector limit's is below
+        # double range
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1e20)
         w = solve_gap(p).omega_big
         for order in (2, 3, 4):

@@ -583,21 +583,25 @@ class TestCli:
         assert exc.value.code == 1
         capsys.readouterr()
 
-    def test_non_convergence_exits_2(self, capsys, monkeypatch):
-        # a quadrature tolerance below round-off fails on every rung of a
-        # graded point (beta*Omega of about 30); the first order's failure
-        # stops the command with one error line that names the order once
-        monkeypatch.setattr("quartic_vpe.diagrams.REL_TOL", 1e-17)
-        for argv in (["oracle-check", "--beta", "15", "--order", "3"],
-                     ["point", "--quad", "--beta", "15", "--order", "2"]):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: ")
-            assert captured.err.count("\n") == 1
-            assert "did not stabilize" in captured.err
-            assert captured.err.count("order-2") == 1
-            assert "order-3" not in captured.err
+    @pytest.mark.parametrize("argv, message", [
+        (["point", "--z", "1e308", "--t-reduced", "1"],
+         "z = 1e+308 at lambda = 1.0 gives omega = inf, outside double precision"),
+        (["point", "--mass", "inf"], "mass must be finite, got inf"),
+        (["point", "--lambda", "nan"], "coupling lambda must be finite, got nan"),
+        (["point", "--omega", "nan"], "omega must be finite, got nan"),
+        (["point", "--z", "nan", "--t-reduced", "1"], "z must be finite, got nan"),
+        (["point", "--z", "1", "--t-reduced", "1", "--lambda", "-1"],
+         "coupling lambda must be positive and finite, got -1.0"),
+        (["sweep", "--var", "beta", "--from", "1", "--to", "2", "--z", "1",
+          "--t-reduced", "1"],
+         "sweep works on physical variables; reduced flags are not supported here"),
+    ], ids=["z-overflow", "mass-inf", "lambda-nan", "omega-nan", "z-nan",
+            "reduced-lambda", "reduced-sweep"])
+    def test_input_errors_name_the_quantity(self, argv, message, capsys):
+        # the message names what the user gave, not an internal field
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["point", "--quad", "--order", "0"],
