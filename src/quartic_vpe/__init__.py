@@ -5,9 +5,9 @@ the first-order (variational) free energy plus closed-form corrections
 through fourth order, cross-checked by two independent oracles
 (imaginary-time diagram integrals and exact diagonalization).
 
-The series path is pure ``math``.  The oracles' names are re-exported
-lazily: ``diagrams`` and ``spectrum``, and numpy with them, are imported
-on first access to one of those names.
+Only the eigensolver, ``spectrum``, uses numpy.  The oracles' names are
+re-exported lazily: ``diagrams`` and ``spectrum`` are imported on first
+access to one of those names.
 """
 
 import importlib

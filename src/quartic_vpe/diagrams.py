@@ -17,10 +17,10 @@ exponentials of the gaps, so each integrand is a finite sum of terms
 w e^{-beta Omega sum_k c_k u_k} with integer nodes c_k and positive
 integer weights w (``_gap_terms``).  Each term integrates exactly over
 the simplex to a divided difference of the exponential (Hermite-Genocchi;
-de Boor, Surveys in Approximation Theory 1 (2005) 46), evaluated to about
-machine precision (McCurdy, Ng and Parlett, Math. Comp. 43 (1984) 501; see
-``_simplex_integrals``).  The scale's powers, beta**(n - 1) and
-lambda**n join the prefactor as a mantissa and a binary exponent.
+de Boor, Surveys in Approximation Theory 1 (2005) 46), evaluated row by
+row in plain ``math`` to about machine precision (McCurdy, Ng and Parlett,
+Math. Comp. 43 (1984) 501; see ``_simplex_integral``).  The scale's powers,
+beta**(n - 1) and lambda**n join the prefactor as a mantissa and exponent.
 Beyond ``X_SECTOR`` = 42 each integral is its sector limit (Hepp,
 Commun. Math. Phys. 2 (1966) 301; Binoth and Heinrich, Nucl. Phys. B 585
 (2000) 741; see ``_sector_sum``).
@@ -31,10 +31,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import ModelParams, check_frequency
 from .errors import ValidationError
@@ -227,8 +226,8 @@ def _sector_sum(diagram: DiagramSpec) -> float:
 
 
 @functools.cache
-def _gap_terms(diagram: DiagramSpec, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """The integrand as rows of ascending integer nodes c and weights w.
+def _gap_terms(diagram: DiagramSpec, mode: str) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The integrand as sorted (nodes, weight) pairs of ints, nodes ascending.
 
     Gap k runs from slot k to slot k + 1 (the closing gap n - 1 back to the
     anchor), in units of beta.  In units of its scale the propagator between
@@ -255,40 +254,44 @@ def _gap_terms(diagram: DiagramSpec, mode: str) -> tuple[np.ndarray, np.ndarray]
             terms = expanded
         for nodes, weight in terms.items():
             rows[tuple(sorted(nodes + nodes[-1:] if mode == "full" else nodes))] += weight
-    keys = sorted(rows)
-    return np.array(keys, dtype=float), np.array([rows[k] for k in keys], dtype=float)
+    return tuple(sorted(rows.items()))
 
 
-def _simplex_integrals(s: np.ndarray) -> np.ndarray:
-    """Integral of e^{-sum_k s_k u_k} over the unit simplex, per row of
-    ascending nodes s (the last u_k is one minus the others).
+def _simplex_integral(s: list[float]) -> float:
+    """Integral of e^{-sum_k s_k u_k} over the unit simplex at ascending
+    nodes s (the last u_k is one minus the others).
 
     By Hermite-Genocchi it is the divided difference of e^{-t} at the nodes,
     sign (-1)**width removed.  Newton's table builds it from entries over
-    ever more neighbouring nodes.  An entry whose nodes span at most 1 is
-    e^{-top} sum_m h_m(top - s) / (m + width)!, with h_m the complete
-    symmetric polynomial: every term is positive, and the m-th is at most
-    1/(width! m!).  A wider entry is the difference of its two neighbours
-    over the span (McCurdy, Ng and Parlett 1984): a span above 1 keeps the
-    two neighbours apart, so their difference loses few digits.
+    ever more neighbouring nodes.  An entry whose nodes span more than 1 is
+    the difference of its two neighbours over the span, which keeps them
+    apart, so it loses few digits (McCurdy, Ng and Parlett 1984).  Any
+    other is e^{-top} sum_m h_m(top - s) / (m + width)!, h_m the complete
+    symmetric polynomial: every term is positive, the m-th at most
+    1/(width! m!), and at span 0 all but the first vanish.
     """
-    table = np.exp(-s)
-    for width in range(1, s.shape[1]):
-        top = s[:, width:]
-        span = top - s[:, :-width]
-        h = [np.ones_like(top)] + [np.zeros_like(top)] * (SERIES_TERMS - 1)
-        for k in range(width):  # the top node adds nothing to h
-            d = top - s[:, k:k + top.shape[1]]
-            for m in range(1, SERIES_TERMS):
-                h[m] = h[m] + d * h[m - 1]
-        series = sum(h_m / math.factorial(m + width) for m, h_m in enumerate(h))
-        table = np.where(span <= 1.0, np.exp(-top) * series,
-                         (table[:, :-1] - table[:, 1:]) / np.maximum(span, 1.0))
-    return table[:, 0]
+    table = [math.exp(-v) for v in s]
+    for width in range(1, len(s)):
+        entries = []
+        for j, top in enumerate(s[width:]):
+            span = top - s[j]
+            if span > 1.0:
+                entries.append((table[j] - table[j + 1]) / span)
+            elif span == 0.0:
+                entries.append(math.exp(-top) / math.factorial(width))
+            else:
+                h = [1.0] + [0.0] * (SERIES_TERMS - 1)
+                for d in [top - low for low in s[j:j + width]]:  # the top node adds nothing to h
+                    for m in range(1, SERIES_TERMS):
+                        h[m] += d * h[m - 1]
+                entries.append(math.exp(-top) * sum(
+                    h_m / math.factorial(m + width) for m, h_m in enumerate(h)))
+        table = entries
+    return table[0]
 
 
 def _diagram_sum(params: ModelParams, omega_big: float, diagrams: list[DiagramSpec],
-                 coeffs: np.ndarray, exponent: int, mode: str) -> float:
+                 coeffs: list[float], exponent: int, mode: str) -> float:
     """Sum of ``coeffs`` times the diagrams' simplex integrals, in units of
     beta**(n - 1) (2 m Omega (1 - e^{-beta Omega}))**(-2n), times
     2**exponent.
@@ -296,19 +299,20 @@ def _diagram_sum(params: ModelParams, omega_big: float, diagrams: list[DiagramSp
     Above ``X_SECTOR`` each integral is its sector limit; beta and Omega
     enter through ``math.frexp``, so beta*Omega may overflow.  Below it each
     integral is the weighted sum of its terms' exact simplex integrals.
+    The diagrams are summed left to right, whatever the Python version.
     """
-    if params.beta * omega_big > X_SECTOR:
-        sums = np.array([_sector_sum(d) for d in diagrams])
+    x, divisor = params.beta * omega_big, 1.0
+    if x > X_SECTOR:
+        values = [_sector_sum(d) for d in diagrams]
         (beta, e_beta), (om, e_om) = math.frexp(params.beta), math.frexp(omega_big)
         n = diagrams[0].order
-        return math.ldexp(float(np.sum(coeffs * sums)) / (beta * om) ** (n - 1),
-                          exponent - (n - 1) * (e_beta + e_om))
-    x = params.beta * omega_big
-    values = []
-    for diagram in diagrams:
-        nodes, weights = _gap_terms(diagram, mode)
-        values.append(weights @ _simplex_integrals(x * nodes))
-    return math.ldexp(float(np.sum(coeffs * values)), exponent)
+        divisor, exponent = (beta * om) ** (n - 1), exponent - (n - 1) * (e_beta + e_om)
+    else:
+        values = [math.fsum(weight * _simplex_integral([x * c for c in nodes])
+                            for nodes, weight in _gap_terms(d, mode))
+                  for d in diagrams]
+    total = functools.reduce(operator.add, map(operator.mul, coeffs, values))
+    return math.ldexp(total / divisor, exponent)
 
 
 def _scale(params: ModelParams, omega_big: float, n: int) -> tuple[float, int]:
@@ -346,7 +350,7 @@ def quad_diagram(
     n = diagram.order
     scale, exponent = _scale(params, omega_big, n)
     prefactor = diagram.sign * scale / math.factorial(n) * diagram.symmetry_factor
-    return _diagram_sum(params, omega_big, [diagram], np.array([prefactor]), exponent, mode)
+    return _diagram_sum(params, omega_big, [diagram], [prefactor], exponent, mode)
 
 
 def quad_correction(params: ModelParams, omega_big: float, order: int) -> float:
@@ -356,5 +360,5 @@ def quad_correction(params: ModelParams, omega_big: float, order: int) -> float:
         raise ValidationError(f"no built-in diagrams of order {order}")
     scale, exponent = _scale(params, omega_big, order)
     base = chosen[0].sign * scale / math.factorial(order)
-    coeffs = base * np.array([d.symmetry_factor for d in chosen])
+    coeffs = [base * d.symmetry_factor for d in chosen]
     return _diagram_sum(params, omega_big, chosen, coeffs, exponent, "reduced")

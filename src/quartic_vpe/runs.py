@@ -15,9 +15,8 @@ per group.  The per-order oracle-check rows are the other kind.
 
 The series path is pure ``math``.  This module imports ``spectrum`` and
 ``diagrams`` inside its :func:`exact_free_energy` and
-:func:`quad_correction`, on the first row that asks for one, and numpy
-inside :func:`run_sweep` and :func:`run_figure`, which build their grids
-with it.  Tables and points without an oracle import none of them.
+:func:`quad_correction`, on the first row that asks for one.  Tables,
+figures, points and sweeps without an oracle import neither.
 
 Conventions:
 
@@ -215,6 +214,19 @@ def run_point(params: ModelParams, *, max_order: int = 4,
     return _point_rows([params], max_order, exact, quad)[0]
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """``numpy.linspace(start, stop, n)`` for n >= 2, bit for bit."""
+    step = (stop - start) / (n - 1)  # where it underflows, numpy scales i/(n - 1)
+    grid = [(i * step if step else i / (n - 1) * (stop - start)) + start for i in range(n)]
+    return grid[:-1] + [stop]
+
+
+def _geomspace(start: float, stop: float, n: int) -> list[float]:
+    """n >= 2 points in geometric progression from start to stop, both > 0."""
+    inner = _linspace(math.log10(start), math.log10(stop), n)[1:-1]
+    return [start, *(10.0**e for e in inner), stop]
+
+
 def run_sweep(base: ModelParams, var: str, start: float, stop: float,
               points: int, *, max_order: int = 4, exact: bool = False,
               quad: bool = False, log_spacing: bool = False) -> list[ResultRow]:
@@ -229,21 +241,17 @@ def run_sweep(base: ModelParams, var: str, start: float, stop: float,
         raise ValidationError(
             f"{var} sweep from {start} to {stop} spans more than double precision holds"
         )
-    import numpy as np
-
     if log_spacing:
         if start <= 0.0 or stop <= 0.0:
             raise ValidationError("log spacing requires positive endpoints")
-        grid = np.geomspace(start, stop, points)
+        grid = _geomspace(start, stop, points)
     else:
-        grid = np.linspace(start, stop, points)
+        grid = _linspace(start, stop, points)
+    if var == "temp":
+        grid = [beta_from_temp(temp) for temp in grid]
     attr = {"mass": "m", "temp": "beta"}.get(var, var)
-    points = []
-    for value in map(float, grid):
-        if var == "temp":
-            value = beta_from_temp(value)
-        points.append(replace(base, **{attr: value}))
-    return _point_rows(points, max_order, exact, quad)
+    return _point_rows([replace(base, **{attr: value}) for value in grid],
+                       max_order, exact, quad)
 
 
 def run_table1(*, exact: bool = False) -> list[ResultRow]:
@@ -301,18 +309,15 @@ def run_figure(which: str, grid_resolution: int | None = None) -> list[ResultRow
     n = FIGURE_DEFAULT_RESOLUTION[which] if grid_resolution is None else grid_resolution
     if n < 2:
         raise ValidationError(f"grid resolution must be >= 2, got {n}")
-
-    import numpy as np
-
     if which == "fig1":
-        grid = [ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / float(temp))
-                for temp in np.linspace(0.05, 1.0, n)]
+        grid = [ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / temp)
+                for temp in _linspace(0.05, 1.0, n)]
     elif which == "fig2":
-        grid = [unrescale(RescaledParams(z, float(t_red)), lam=1.0)
-                for z in FIGURE_Z_VALUES for t_red in np.linspace(1.0, 50.0, n)]
+        grid = [unrescale(RescaledParams(z, t_red), lam=1.0)
+                for z in FIGURE_Z_VALUES for t_red in _linspace(1.0, 50.0, n)]
     else:
-        grid = [ModelParams(m=1.0, omega=0.0, lam=1.0, beta=float(beta))
-                for beta in np.geomspace(0.25, 20.0, n)]
+        grid = [ModelParams(m=1.0, omega=0.0, lam=1.0, beta=beta)
+                for beta in _geomspace(0.25, 20.0, n)]
     fixed = [{"f2": None, "f3": None}] * len(grid) if which == "fig2" else None
     return _point_rows(grid, 4, which != "fig2", False, fixed)
 

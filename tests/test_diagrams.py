@@ -17,7 +17,7 @@ from quartic_vpe.diagrams import (
     DiagramSpec,
     _gap_terms,
     _sector_sum,
-    _simplex_integrals,
+    _simplex_integral,
     _slot_orderings,
     builtin_diagrams,
     quad_correction,
@@ -201,10 +201,11 @@ class TestOrderingClasses:
         for d in builtin_diagrams():
             for mode, orderings in (("reduced", math.factorial(d.order - 1)),
                                     ("full", math.factorial(d.order))):
-                nodes, weights = _gap_terms(d, mode)
-                assert weights.sum() == orderings * 4**d.order
-                assert nodes.shape[1] == d.order + (mode == "full")
-                assert np.all(np.diff(nodes, axis=1) >= 0)
+                terms = _gap_terms(d, mode)
+                assert list(terms) == sorted(terms)
+                assert sum(weight for _, weight in terms) == orderings * 4**d.order
+                assert {len(nodes) for nodes, _ in terms} == {d.order + (mode == "full")}
+                assert all(list(nodes) == sorted(nodes) for nodes, _ in terms)
 
 
 class TestSimplexIntegrals:
@@ -214,10 +215,10 @@ class TestSimplexIntegrals:
         start = time.perf_counter()
         for x in (1e-300, 1e-8, 1.0, 2.566, 9.0, 18.52, 41.9):
             for d in builtin_diagrams():
-                nodes, weights = _gap_terms(d, "reduced")
-                value = weights @ _simplex_integrals(x * nodes)
-                reference = sum(int(w) * decimal_simplex_integral(row, x)
-                                for row, w in zip(nodes, weights))
+                terms = _gap_terms(d, "reduced")
+                value = math.fsum(w * _simplex_integral([x * c for c in nodes])
+                                  for nodes, w in terms)
+                reference = sum(w * decimal_simplex_integral(nodes, x) for nodes, w in terms)
                 assert value == pytest.approx(float(reference), rel=2e-15), (x, d.label)
         assert time.perf_counter() - start < 1.0
 
@@ -229,6 +230,15 @@ class TestIndependence:
         for module in ("diagrams.py", "spectrum.py"):
             names = imported_names(src / module)
             assert not [name for name in names if "series" in name.split(".")], module
+
+    def test_only_the_eigensolver_imports_numpy(self):
+        # the series path, the diagram oracle and the run drivers are pure
+        # Python; numpy serves the eigensolver alone
+        src = Path(__file__).parents[1] / "src" / "quartic_vpe"
+        importers = sorted(path.name for path in src.glob("*.py")
+                           if any(name.split(".")[0] == "numpy"
+                                  for name in imported_names(path)))
+        assert importers == ["spectrum.py"]
 
 
 class TestOracleAgreement:
@@ -254,19 +264,20 @@ class TestOracleAgreement:
             w = solve_gap(p).omega_big
             assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=4e-15)
 
-    def test_closed_forms_across_the_grading_threshold(self):
-        # on both sides of beta*Omega = 24 and of the switch to the sector
-        # limit
-        for x in (0.999 * 24.0, 1.004 * 24.0, 1.0207 * 32,
+    def test_closed_forms_across_the_oracle_switches(self):
+        # an entry of Newton's table whose nodes differ by the integer d
+        # switches from the series to the difference of its neighbours at
+        # beta*Omega = 1/d (the built-in diagrams' d are 2, 4, 6 and 8); each
+        # diagram switches to its sector limit at X_SECTOR
+        for x in (0.1249, 0.1251, 0.16666, 0.16668, 0.2499, 0.2501,
+                  0.4999, 0.5001, 0.9999, 1.0001,
                   0.999 * X_SECTOR, 1.004 * X_SECTOR, 100.0, 1000.0):
             p = point_at(x)
             w = solve_gap(p).omega_big
-            assert quad_correction(p, w, 2) == pytest.approx(closed_correction(p, w, 2), rel=1e-13)
-            assert quad_correction(p, w, 3) == pytest.approx(closed_correction(p, w, 3), rel=1e-13)
-        p = point_at(1.004 * 24.0)
-        w = solve_gap(p).omega_big
-        assert p.beta * w > 24.0
-        assert quad_correction(p, w, 4) == pytest.approx(closed_correction(p, w, 4), rel=1e-13)
+            assert p.beta * w == pytest.approx(x, rel=1e-12)
+            for order in (2, 3, 4):
+                assert quad_correction(p, w, order) == pytest.approx(
+                    closed_correction(p, w, order), rel=4e-15), (x, order)
 
     def test_ring_against_spectral_sum(self):
         p = ModelParams(m=1.1, omega=0.8, lam=1.7, beta=2.0)

@@ -373,6 +373,33 @@ class TestRunSweep:
         f0s = [r.f0 for r in rows]
         assert all(a < b for a, b in zip(f0s, f0s[1:]))
 
+    def test_linear_grid_is_numpys_bit_for_bit(self):
+        # numpy is only the reference here: the grids are built without it
+        cases = [(1.0, 1.0, 5), (-0.0, 0.0, 3), (-3.0, -7.5, 9), (-2.0, 5.0, 8),
+                 (0.0, 1.5e-323, 8), (5e-324, -1e-323, 9), (0.05, 1.0, 20), (-1e300, 1e300, 4)]
+        grid_rng = np.random.default_rng(314159)
+        for _ in range(3000):
+            start, stop = grid_rng.uniform(-1.0, 1.0, 2) * 10.0 ** grid_rng.integers(-300, 300, 2)
+            cases.append((float(start), float(stop), int(grid_rng.integers(2, 80))))
+        for start, stop, n in cases:
+            expected = [v.hex() for v in np.linspace(start, stop, n).tolist()]
+            assert [v.hex() for v in runs._linspace(start, stop, n)] == expected, (start, stop, n)
+
+    def test_geometric_grid_within_an_ulp_of_numpys(self):
+        cases = [(0.25, 20.0, 20), (1e-12, 1e8, 61), (50.0, 1.0, 7), (3.0, 3.0, 4),
+                 (5e-324, 1.7e308, 50)]
+        grid_rng = np.random.default_rng(271828)
+        for _ in range(3000):
+            start, stop = 10.0 ** grid_rng.uniform(-300.0, 300.0, 2)
+            cases.append((float(start), float(stop), int(grid_rng.integers(2, 80))))
+        for start, stop, n in cases:
+            grid = runs._geomspace(start, stop, n)
+            assert (grid[0], grid[-1], len(grid)) == (start, stop, n)
+            steps = [b - a for a, b in zip(grid, grid[1:])]
+            assert all(d >= 0.0 for d in steps) or all(d <= 0.0 for d in steps), (start, stop, n)
+            for value, reference in zip(grid[1:-1], np.geomspace(start, stop, n)[1:-1].tolist()):
+                assert abs(value - reference) <= math.ulp(reference), (start, stop, n)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             run_sweep(self.BASE, "z", 1.0, 2.0, 3)
@@ -684,30 +711,39 @@ class TestCli:
         assert run.stdout.split() == ["0", "True"]
 
     def test_series_only_commands_import_no_numpy(self):
-        # one fresh interpreter: the series path is pure math, and only an
-        # oracle loads numpy; the last command shows the check can fail
+        # one fresh interpreter: the series path and the grids are pure
+        # math, the diagram oracle is too, and only the exact oracle loads
+        # numpy; the last command shows the check can fail
         series_only = [["table1"], ["table2"],
                        ["point", "--lambda", "2", "--beta", "5"],
-                       ["point", "--z", "10", "--t-reduced", "1"]]
+                       ["point", "--z", "10", "--t-reduced", "1"],
+                       ["fig2", "--points", "3"],
+                       ["sweep", "--var", "lam", "--from", "1", "--to", "2", "--points", "3"],
+                       ["sweep", "--var", "temp", "--from", "1", "--to", "50",
+                        "--points", "3", "--log"]]
+        diagram_oracle = [["oracle-check", "--beta", "2"], ["point", "--quad", "--beta", "2"]]
         script = (
             "import contextlib, io, json, sys\n"
             "from quartic_vpe.cli import main\n"
             "heavy = ('numpy', 'quartic_vpe.spectrum', 'quartic_vpe.diagrams')\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "    loaded = [name for name in heavy if name in sys.modules]\n"
+            "    loaded = [[name for name in heavy if name in sys.modules]]\n"
+            "    codes += [main(argv) for argv in json.loads(sys.argv[2])]\n"
+            "    loaded.append([name for name in heavy if name in sys.modules])\n"
             "    codes.append(main(['point', '--exact']))\n"
             "print(json.dumps([codes, loaded, 'numpy' in sys.modules]))\n"
         )
         src = str(Path(__file__).parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-c", script, json.dumps(series_only)],
+        run = subprocess.run([sys.executable, "-c", script, json.dumps(series_only),
+                              json.dumps(diagram_oracle)],
                              env=env, capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
         codes, loaded, numpy_after_exact = json.loads(run.stdout)
-        assert codes == [0] * (len(series_only) + 1)
-        assert loaded == []
+        assert codes == [0] * (len(series_only) + len(diagram_oracle) + 1)
+        assert loaded == [[], ["quartic_vpe.diagrams"]]
         assert numpy_after_exact
 
     def test_readme_command_lines_run(self, capsys):
