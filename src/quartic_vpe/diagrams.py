@@ -208,6 +208,7 @@ def _slot_orderings(diagram: DiagramSpec, mode: str) -> list[tuple[int, Ordering
     return [(count, key) for key, count in multiplicity.items()]
 
 
+@functools.cache
 def _sector_sum(diagram: DiagramSpec) -> float:
     """(beta Omega)**(n - 1) times the reduced simplex integral as beta*Omega
     -> inf, rounded once from the exact sum over orderings and long gap j of

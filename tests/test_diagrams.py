@@ -373,6 +373,17 @@ class TestSectorLimit:
         for d in diagrams:
             assert _sector_sum(d) == float(sums[d.label])
 
+    def test_sector_sum_is_computed_once_per_diagram(self):
+        # the sum over orderings is cached, as the gap terms are: a second
+        # call is a cache hit with the same float
+        d = next(d for d in builtin_diagrams() if d.label == "4c")
+        _sector_sum.cache_clear()
+        first = _sector_sum(d)
+        second = _sector_sum(d)
+        info = _sector_sum.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert second.hex() == first.hex()
+
     def test_every_order_ok_up_to_beta_omega_1e300(self):
         # m = omega = 1e3 and a tiny coupling keep every point's inputs and
         # corrections in double range while beta*Omega runs to 1e300

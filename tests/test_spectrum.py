@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from quartic_vpe import spectrum
+from quartic_vpe.cli import main
 from quartic_vpe.core import ModelParams
 from quartic_vpe.errors import ConvergenceError, ValidationError
 from quartic_vpe.spectrum import (
@@ -126,15 +127,15 @@ class TestHamiltonian:
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=0.01)
         nu = solve_gap(p).omega_big
         for n_basis in (64, 128, 256, 512):
-            small = diagonalize(p, nu, n_basis)
-            large = diagonalize(p, nu, 2 * n_basis)[:n_basis]
+            small, _ = diagonalize(p, nu, n_basis)
+            large = diagonalize(p, nu, 2 * n_basis)[0][:n_basis]
             assert np.all(large - small <= 1e-13 * np.abs(small))
 
     def test_harmonic_limit(self):
         # vanishing quartic coupling in the matched basis gives the
         # ladder spectrum omega (n + 1/2)
         p = ModelParams(m=1.0, omega=1.5, lam=1e-14, beta=1.0)
-        lowest = diagonalize(p, nu=1.5, n_basis=64)[:20]
+        lowest = diagonalize(p, nu=1.5, n_basis=64)[0][:20]
         expected = 1.5 * (np.arange(20) + 0.5)
         assert np.max(np.abs(lowest - expected)) < 1e-10
 
@@ -152,63 +153,89 @@ class TestConcurrentEigensolve:
     NU = 1.7
 
     @pytest.mark.parametrize("n_basis", [512, 1024, 1025, 2048])
-    def test_bitwise_equal_to_serial_reference(self, n_basis):
+    def test_bitwise_equal_to_serial_reference(self, n_basis, monkeypatch):
         # 512 runs serially, 1024 and up concurrently; 1025 has blocks of
-        # different sizes (513 and 512)
+        # different sizes (513 and 512).  Below the cap the blocks are
+        # solved with their vectors, at the cap for values only.
+        if n_basis < spectrum.BASIS_CAP:
+            def solve(h):
+                return np.linalg.eigh(h)[0]
+        else:
+            solve = np.linalg.eigvalsh
         reference = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(h) for h in dense_blocks(self.PARAMS, self.NU, n_basis)]
+            [solve(h) for h in dense_blocks(self.PARAMS, self.NU, n_basis)]
         ))
-        eigs = diagonalize(self.PARAMS, self.NU, n_basis)
+        eigs, drops = diagonalize(self.PARAMS, self.NU, n_basis)
         assert eigs.tobytes() == reference.tobytes()
+        # the error estimates too are the serial ones, bit for bit
+        monkeypatch.setattr(spectrum, "CONCURRENT_BASIS", 2 * n_basis)
+        serial = diagonalize(self.PARAMS, self.NU, n_basis)[1]
+        if n_basis < spectrum.BASIS_CAP:
+            assert drops.tobytes() == serial.tobytes()
+        else:
+            assert drops is serial is None
+
+    # The blocks are solved with their vectors below the cap and for values
+    # only at it; a cap of 8 puts every basis size at the cap.
+    SOLVERS = (("eigh", None), ("eigvalsh", 8))
 
     def test_odd_block_runs_in_a_worker_from_the_threshold(self, monkeypatch):
-        threads = {}
-        eigvalsh = np.linalg.eigvalsh
+        for name, cap in self.SOLVERS:
+            if cap is not None:
+                monkeypatch.setattr(spectrum, "BASIS_CAP", cap)
+            threads = {}
+            solver = getattr(np.linalg, name)
 
-        def recording(h):
-            threads[len(h)] = threading.current_thread()
-            return eigvalsh(h)
+            def recording(h, solver=solver, threads=threads):
+                threads[len(h)] = threading.current_thread()
+                return solver(h)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        n = spectrum.CONCURRENT_BASIS
-        diagonalize(self.PARAMS, self.NU, n - 1)  # blocks of n/2 and n/2 - 1
-        assert threads[n // 2] is threads[n // 2 - 1] is threading.main_thread()
-        diagonalize(self.PARAMS, self.NU, n + 1)  # blocks of n/2 + 1 and n/2
-        assert threads[n // 2 + 1] is threading.main_thread()
-        assert threads[n // 2] is not threading.main_thread()
+            monkeypatch.setattr(np.linalg, name, recording)
+            n = spectrum.CONCURRENT_BASIS
+            diagonalize(self.PARAMS, self.NU, n - 1)  # blocks of n/2 and n/2 - 1
+            assert threads[n // 2] is threads[n // 2 - 1] is threading.main_thread()
+            diagonalize(self.PARAMS, self.NU, n + 1)  # blocks of n/2 + 1 and n/2
+            assert threads[n // 2 + 1] is threading.main_thread()
+            assert threads[n // 2] is not threading.main_thread()
 
     def test_worker_error_is_raised_and_worker_joined(self, monkeypatch):
-        eigvalsh = np.linalg.eigvalsh
+        for name, cap in self.SOLVERS:
+            if cap is not None:
+                monkeypatch.setattr(spectrum, "BASIS_CAP", cap)
+            solver = getattr(np.linalg, name)
 
-        def failing_odd(h):
-            if len(h) == 512:  # the odd block of a 1025 basis
-                raise np.linalg.LinAlgError("odd block did not converge")
-            return eigvalsh(h)
+            def failing_odd(h, solver=solver):
+                if len(h) == 512:  # the odd block of a 1025 basis
+                    raise np.linalg.LinAlgError("odd block did not converge")
+                return solver(h)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing_odd)
-        started = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError, match="odd block"):
-            diagonalize(self.PARAMS, self.NU, 1025)
-        assert threading.active_count() == started
+            monkeypatch.setattr(np.linalg, name, failing_odd)
+            started = threading.active_count()
+            with pytest.raises(np.linalg.LinAlgError, match="odd block"):
+                diagonalize(self.PARAMS, self.NU, 1025)
+            assert threading.active_count() == started
 
     def test_caller_error_is_raised_and_worker_joined(self, monkeypatch):
-        eigvalsh = np.linalg.eigvalsh
+        for name, cap in self.SOLVERS:
+            if cap is not None:
+                monkeypatch.setattr(spectrum, "BASIS_CAP", cap)
+            solver = getattr(np.linalg, name)
 
-        def failing_even(h):
-            if len(h) == 513:  # the even block of a 1025 basis
-                raise np.linalg.LinAlgError("even block did not converge")
-            return eigvalsh(h)
+            def failing_even(h, solver=solver):
+                if len(h) == 513:  # the even block of a 1025 basis
+                    raise np.linalg.LinAlgError("even block did not converge")
+                return solver(h)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing_even)
-        started = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError, match="even block"):
-            diagonalize(self.PARAMS, self.NU, 1025)
-        assert threading.active_count() == started
+            monkeypatch.setattr(np.linalg, name, failing_even)
+            started = threading.active_count()
+            with pytest.raises(np.linalg.LinAlgError, match="even block"):
+                diagonalize(self.PARAMS, self.NU, 1025)
+            assert threading.active_count() == started
 
     def test_concurrent_callers_agree_with_a_serial_call(self):
         # more caller threads than cores, each with its own worker per
-        # eigensolve; T = 100 reaches basis 1024
-        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / 100.0)
+        # eigensolve; T = 200 reaches basis 1024
+        p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / 200.0)
         serial = exact_free_energy(p)
         assert serial.basis_size >= spectrum.CONCURRENT_BASIS
         results = [None] * 4
@@ -245,7 +272,7 @@ class TestSpectrum:
                 lam=float(RNG.uniform(0.05, 20.0)),
                 beta=1.0,
             )
-            eigs = diagonalize(p, nu=solve_gap(p).omega_big, n_basis=64)
+            eigs, _ = diagonalize(p, nu=solve_gap(p).omega_big, n_basis=64)
             assert np.all(np.diff(eigs) > 0.0)
             assert eigs[0] > 0.0
 
@@ -253,15 +280,15 @@ class TestSpectrum:
         base = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
         more = ModelParams(m=1.0, omega=1.0, lam=2.0, beta=1.0)
         nu = solve_gap(base).omega_big
-        a = diagonalize(base, nu, 128)[:30]
-        b = diagonalize(more, nu, 128)[:30]
+        a = diagonalize(base, nu, 128)[0][:30]
+        b = diagonalize(more, nu, 128)[0][:30]
         assert np.all(b > a)
 
     def test_ground_state_stable_under_doubling(self):
         p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0)
         nu = solve_gap(p).omega_big
-        small = diagonalize(p, nu, 64)
-        large = diagonalize(p, nu, 128)
+        small, _ = diagonalize(p, nu, 64)
+        large, _ = diagonalize(p, nu, 128)
         assert abs(large[0] - small[0]) < 1e-10
 
 
@@ -351,8 +378,9 @@ class TestExactFreeEnergy:
         # x -> x/sqrt(m) gives F(m 2**j, omega, lam 4**j, beta) = F, and the
         # dilation s = 2**k gives F(omega/s, lam/s**3, beta s) = F/s with the
         # basis frequency (and the absolute tol) scaled by 1/s too: H/s in
-        # the same basis, every input scaled exactly.  T = 2 stops at basis
-        # 128; T = 450 reaches the cap, through the concurrent branch.
+        # the same basis, every input scaled exactly, the analytic level
+        # floor included.  T = 2 stops at basis 64; T = 450 reaches the
+        # cap, through the concurrent branch.
         s = 2.0**5
 
         def outcome(params, nu, tol):
@@ -362,7 +390,7 @@ class TestExactFreeEnergy:
                 return exc.value, exc.bound, None
             return res.value, res.step, res.basis_size
 
-        for temp, basis in ((2.0, 128), (450.0, None)):
+        for temp, basis in ((2.0, 64), (450.0, None)):
             p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / temp)
             nu = solve_gap(p).omega_big
             twin = ModelParams(m=8.0 * p.m, omega=p.omega / s,
@@ -371,6 +399,22 @@ class TestExactFreeEnergy:
             assert size == basis
             assert outcome(twin, nu / s, spectrum.DEFAULT_TOL / s) == (
                 value / s, step / s, size)
+
+    def test_vectors_stay_below_the_cap(self, monkeypatch, capsys):
+        # a cap-sized solve with vectors would hold two 1024^2 vector blocks
+        # and their workspace (peak RSS 80 MB against 56 MB); the cap is
+        # solved for values only
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording(h):
+            sizes.append(len(h))
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        assert main(["point", "--exact", "--temp", "400"]) == 2
+        assert "degraded" in capsys.readouterr().out
+        assert sizes and max(sizes) < spectrum.BASIS_CAP // 2
 
     def test_doubling_step_bounds_upper_half_tail(self):
         # the n/2 basis is a principal submatrix of the n one, so by Cauchy
@@ -385,8 +429,8 @@ class TestExactFreeEnergy:
             p = ModelParams(m=1.0, omega=1.0, lam=1.0, beta=1.0 / temp)
             nu = solve_gap(p).omega_big
             for n_basis in (128, 256, 512):
-                f_half, _ = free_energy(diagonalize(p, nu, n_basis // 2), p.beta)
-                f, w = free_energy(diagonalize(p, nu, n_basis), p.beta)
+                f_half, _ = free_energy(diagonalize(p, nu, n_basis // 2)[0], p.beta)
+                f, w = free_energy(diagonalize(p, nu, n_basis)[0], p.beta)
                 half = n_basis // 2
                 tail = temp * math.log1p(w[half:].sum() / w[:half].sum())
                 assert tail <= f_half - f + 1e-12 * abs(f)
@@ -399,3 +443,52 @@ class TestExactFreeEnergy:
         for nu in (0.0, math.nan, math.inf):
             with pytest.raises(ValidationError):
                 exact_free_energy(p, nu=nu)
+
+class TestErrorEstimate:
+    """The residual estimate below the cap against a four times larger basis."""
+
+    @staticmethod
+    def seeded_points(count=30):
+        """(params, tol) log-uniform over m in [0.1, 10], omega 0 or in
+        [0.01, 100], lam in [1e-3, 1e3] and tol in [1e-10, 1e-4], with beta
+        set against the energy scale max(omega, (lam / m^2)^(1/3)) so that
+        every point converges below the cap."""
+        rng = np.random.default_rng(3)
+        points = []
+        for i in range(count):
+            m, lam = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 3.0)
+            omega = 0.0 if i % 6 == 0 else 10.0 ** rng.uniform(-2.0, 2.0)
+            scale = max(omega, (lam / m**2) ** (1.0 / 3.0))
+            beta = 10.0 ** rng.uniform(-1.5, 0.5) / scale
+            points.append((ModelParams(m=m, omega=omega, lam=lam, beta=beta),
+                           10.0 ** rng.uniform(-10.0, -4.0)))
+        return points
+
+    def test_estimate_covers_a_four_times_larger_basis(self):
+        # F_ref sums the levels of the 4n basis solved for values only.  A
+        # dense symmetric eigensolver's levels carry absolute errors of order
+        # eps * |H|, |H| the largest level, so that is the rounding
+        # allowance; 600 seeded points over these ranges (tol 1e-12 to
+        # 1e-3) needed at most 0.012 of it.
+        for params, tol in self.seeded_points():
+            nu = solve_gap(params).omega_big
+            res = exact_free_energy(params, tol=tol, nu=nu)
+            assert res.basis_size < spectrum.BASIS_CAP
+            assert res.step < tol
+            levels = np.sort(np.concatenate(
+                [np.linalg.eigvalsh(h) for h in dense_blocks(params, nu, 4 * res.basis_size)]))
+            weights = np.exp(-params.beta * (levels - levels[0]))
+            f_ref = levels[0] - math.log(weights.sum()) / params.beta
+            allowance = np.finfo(float).eps * levels[-1]
+            assert abs(res.value - f_ref) <= res.step + allowance, (params, tol)
+            # the estimate's residuals are the parts of H u_i past the basis,
+            # here from the dense blocks of a basis four states larger
+            edges = spectrum._edge_couplings(params, nu, res.basis_size)
+            blocks = zip(dense_blocks(params, nu, res.basis_size),
+                         dense_blocks(params, nu, res.basis_size + 4), edges)
+            for block, larger, edge in blocks:
+                _, u = np.linalg.eigh(block)
+                past = larger[len(block):, :len(block)] @ u
+                _, residual = spectrum._ritz(block, edge)
+                assert residual == pytest.approx(np.linalg.norm(past, axis=0),
+                                                 rel=1e-12, abs=1e-30)

@@ -44,7 +44,7 @@ def test_tracer_sees_every_layer(capsys):
     assert metrics["spectrum.exact_free_energy.calls"] > 0
     assert metrics["diagrams.quad_correction.calls"] > 0
     assert metrics["core.rescale.calls"] > 0
-    assert metrics["spectrum.exact_free_energy.basis_max"] == 128
+    assert metrics["spectrum.exact_free_energy.basis_max"] == 64
     # one gap solve per command: the exact oracle reuses the row's
     assert metrics["variational.solve_gap.calls"] == 2
 
